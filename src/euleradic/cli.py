@@ -15,7 +15,7 @@ from fractions import Fraction
 from .adic import compare, cylinder_measure, maximal_path, orbit, successor
 from .encoding import encode, format_code, parse_code, decode, transport
 from .errors import BudgetError, DecodeError, MaximalPathError, PathValidationError
-from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex,
+from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex, _count,
                        classical_eulerian_oracle, closed_form, closed_form_sym,
                        coefficient_identity_check, comtet_a00, dim_between,
                        recurrence_table)
@@ -37,8 +37,19 @@ def _pair(text: str) -> tuple[int, int]:
     return pair
 
 
+def _decimal(n: int) -> str:
+    """Exact decimal text of a nonnegative int of any size.  CPython's str
+    refuses ints past 4,300 digits, so larger ones are split in halves at a
+    power of ten; smaller ones (at most 4,215 digits) take str."""
+    if n.bit_length() <= 14000:
+        return str(n)
+    k = n.bit_length() * 3 // 20       # about half the digit count
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
 def _dec(f: Fraction) -> str:
@@ -52,15 +63,16 @@ def _cmd_table(args) -> int:
     table = recurrence_table((args.p, args.q), args.imax, args.jmax,
                              max_cells=args.max_cells)
     if args.format == "json":
-        print(json.dumps({
-            "params": {"p": args.p, "q": args.q,
-                       "imax": args.imax, "jmax": args.jmax},
-            "rows": table.cells,
-        }))
+        # Laid out as json.dumps would, with the cells written by _decimal.
+        params = json.dumps({"p": args.p, "q": args.q,
+                             "imax": args.imax, "jmax": args.jmax})
+        rows = ", ".join("[" + ", ".join(map(_decimal, row)) + "]"
+                         for row in table.cells)
+        print(f'{{"params": {params}, "rows": [{rows}]}}')
     else:
         print("i\\j," + ",".join(str(j) for j in range(args.jmax + 1)))
         for i in range(args.imax + 1):
-            print(f"{i}," + ",".join(str(c) for c in table.cells[i]))
+            print(f"{i}," + ",".join(map(_decimal, table.cells[i])))
     return 0
 
 
@@ -84,8 +96,8 @@ def _cmd_good(args) -> int:
         g = count_good_enumeration(base, off, max_enum=args.max_enum)
     else:
         g = count_good_dp(base, off)
-    a = closed_form(base, off)
-    print(f"G={g} A={a} G/A={_frac(Fraction(g, a))}")
+    a = _count(*base, *off)
+    print(f"G={_decimal(g)} A={_decimal(a)} G/A={_frac(Fraction(g, a))}")
     return 0
 
 

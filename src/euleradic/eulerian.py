@@ -108,21 +108,55 @@ def recurrence_table(base, imax: int, jmax: int, *,
     if cells_needed > max_cells:
         raise BudgetError(f"table of {cells_needed} cells exceeds the "
                           f"budget of {max_cells}")
+    return CountTable(Vertex(p, q), imax, jmax, _fill(p, q, imax, jmax))
+
+
+def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:
+    # The recurrence rows, unchecked; the boundary rows are the recurrence
+    # with the missing neighbours read as 0.  Base coordinates down to -1
+    # are legal: every horizontal (q = -1) or vertical (p = -1) bundle then
+    # has one edge fewer than at coordinate 0.
     rows: list[list[int]] = []
+    up_row = [0] * (jmax + 1)
     for i in range(imax + 1):
         row: list[int] = []
-        for j in range(jmax + 1):
-            if i == 0 and j == 0:
-                v = 1
-            elif i == 0:
-                v = row[j - 1] * (p + 1)
-            elif j == 0:
-                v = rows[i - 1][0] * (q + 1)
-            else:
-                v = (j + q + 1) * rows[i - 1][j] + (i + p + 1) * row[j - 1]
-            row.append(v)
+        left = 0
+        for j, up in enumerate(up_row):
+            left = (j + q + 1) * up + (i + p + 1) * left if i or j else 1
+            row.append(left)
         rows.append(row)
-    return CountTable(Vertex(p, q), imax, jmax, rows)
+        up_row = row
+    return rows
+
+
+def _alternating_sum(p: int, q: int, i: int, j: int) -> int:
+    # Sum over t = 0..i of
+    # (-1)^(i-t) C(p+q+t+1, t) C(p+q+i+j+2, i-t) (p+1+t)^(i+j), with the
+    # binomials read as polynomials in their upper argument.  Every closed
+    # form below is this sum; with p, q >= -1 it equals A_{p,q}(i, j).
+    n = p + q
+    total = 0
+    for t in range(i + 1):
+        term = (generalized_binomial(n + t + 1, t)
+                * generalized_binomial(n + i + j + 2, i - t)
+                * (p + 1 + t) ** (i + j))
+        total += -term if (i - t) % 2 else term
+    return total
+
+
+def _nonnegative(total: int, p: int, q: int, i: int, j: int) -> int:
+    if total < 0:
+        raise ArithmeticError(
+            f"alternating sum went negative at base {(p, q)}, offset {(i, j)}")
+    return total
+
+
+def _count(p: int, q: int, i: int, j: int) -> int:
+    """A_{p,q}(i, j) for unchecked p, q >= -1 and i, j >= 0, summed over
+    the shorter index (the count is invariant under the reflection
+    (p, q, i, j) -> (q, p, j, i))."""
+    total = _alternating_sum(p, q, i, j) if i <= j else _alternating_sum(q, p, j, i)
+    return _nonnegative(total, p, q, i, j)
 
 
 def closed_form(base, off) -> int:
@@ -138,15 +172,7 @@ def closed_form(base, off) -> int:
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    n = p + q
-    total = 0
-    for t in range(i + 1):
-        term = comb(n + t + 1, t) * comb(n + i + j + 2, i - t) * (p + 1 + t) ** (i + j)
-        total += -term if (i - t) % 2 else term
-    if total < 0:
-        raise ArithmeticError(
-            f"alternating sum went negative at base {(p, q)}, offset {(i, j)}")
-    return total
+    return _nonnegative(_alternating_sum(p, q, i, j), p, q, i, j)
 
 
 def closed_form_sym(base, off) -> int:
@@ -157,15 +183,7 @@ def closed_form_sym(base, off) -> int:
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    n = p + q
-    total = 0
-    for t in range(j + 1):
-        term = comb(n + t + 1, t) * comb(n + i + j + 2, j - t) * (q + 1 + t) ** (i + j)
-        total += -term if (j - t) % 2 else term
-    if total < 0:
-        raise ArithmeticError(
-            f"alternating sum went negative at base {(p, q)}, offset {(i, j)}")
-    return total
+    return _nonnegative(_alternating_sum(q, p, j, i), p, q, i, j)
 
 
 def comtet_a00(off) -> int:
@@ -181,13 +199,8 @@ def comtet_a00(off) -> int:
     66
     """
     i, j = _as_offset(off)
-    total = 0
-    for t in range(i + 1):
-        term = comb(i + j + 2, i - t) * (1 + t) ** (i + j + 1)
-        total += -term if (i - t) % 2 else term
-    if total < 0:
-        raise ArithmeticError(f"alternating sum went negative at offset {(i, j)}")
-    return total
+    # At base (0, 0) the kernel's C(t+1, t) (1+t)^(i+j) is this (1+t)^(i+j+1).
+    return _nonnegative(_alternating_sum(0, 0, i, j), 0, 0, i, j)
 
 
 def dim_between(src, dst) -> int:
@@ -197,7 +210,7 @@ def dim_between(src, dst) -> int:
     dx, dy = _as_vertex(dst)
     if dx < sx or dy < sy:
         return 0
-    return closed_form((sx, sy), (dx - sx, dy - sy))
+    return _count(sx, sy, dx - sx, dy - sy)
 
 
 @lru_cache(maxsize=None)
@@ -235,10 +248,12 @@ def generalized_binomial(m: int, k: int) -> int:
 
     Exact for every integer m (the product of k consecutive integers is
     divisible by k!); this is the polynomial-in-m reading, so negative m
-    is legal.
+    is legal.  For m >= 0 it is math.comb, which agrees.
     """
     if k < 0:
         raise ValueError(f"lower argument must be nonnegative, got {k}")
+    if m >= 0:
+        return comb(m, k)
     num = 1
     for s in range(k):
         num *= m - s
@@ -258,11 +273,6 @@ def coefficient_identity_check(p: int, q: int, i: int) -> tuple[int, int]:
         raise ValueError(f"p must be nonnegative, got {p}")
     if i < 1:
         raise ValueError(f"i must be positive, got {i}")
-    lhs = 0
-    for t in range(i + 1):
-        term = (generalized_binomial(p + q + t + 1, t)
-                * generalized_binomial(p + q + i + 2, i - t)
-                * (p + 1 + t) ** i)
-        lhs += -term if (i - t) % 2 else term
-    rhs = (q + 1) ** i
-    return lhs, rhs
+    # The lhs is the kernel at offset (i, 0); it is legitimately negative
+    # for some negative q, so it is not checked for sign.
+    return _alternating_sum(p, q, i, 0), (q + 1) ** i

@@ -8,26 +8,24 @@ that edge behaves like an unlabeled one.  A path is good when it consumes
 all p+q+2 labels.  Good paths exist exactly when i >= q+1 and j >= p+1.
 
 Counting is done two ways: honest exhaustive traversal (every parallel
-edge walked separately) and a level-synchronous dynamic program over
-(position, consumed-label-set) states.  Consumed sets are bitmasks with
-bit a-1 standing for label s_a.
+edge walked separately, consumed sets kept as bitmasks with bit a-1
+standing for label s_a) and inclusion-exclusion over the labels a path
+misses, which reduces to signed sums of ordinary path counts from shifted
+bases (see count_good_dp).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from typing import Iterator
 
 from .errors import BudgetError
-from .eulerian import Vertex, _as_offset, _as_vertex, closed_form
-from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, multiplicity,
-                    validate)
-
-#: Widest consumed-label bitmask the DP accepts (p+q+2 bits).
-DEFAULT_MASK_WIDTH = 24
-
-#: Default cap on total DP states (cells x label subsets).
-DEFAULT_STATE_BUDGET = 10**7
+from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
+                       _count, _fill, closed_form)
+from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL,
+                    _enum_args, multiplicity, validate)
 
 
 @dataclass(frozen=True)
@@ -88,120 +86,99 @@ def count_good_enumeration(base, off, *,
                            max_enum: int = DEFAULT_ENUM_BUDGET) -> int:
     """Count good paths by walking every path (each parallel edge taken
     separately) and testing the consumed set at the end."""
-    p, q = _as_vertex(base)
-    i, j = _as_offset(off)
-    expected = closed_form((p, q), (i, j))
-    if expected > max_enum:
-        raise BudgetError(f"{expected} paths from {(p, q)} at offset {(i, j)} "
-                          f"exceed the enumeration budget {max_enum}")
-    full = (1 << (p + q + 2)) - 1
+    (p, q), (i, j) = _enum_args(base, off, max_enum)
+    # One stack entry per edge taken: the steps still to take, di * w + dj,
+    # above the consumed mask's p+q+2 bits.  The vertex reached is
+    # (p + i - di, q + j - dj).
+    w = j + 1
+    width = p + q + 2
+    full = (1 << width) - 1
+    h_bits = [1 << a for a in range(q + 1)]
+    v_bits = [1 << a for a in range(q + 1, width)]
+    n = 0
+    stack = [(i * w + j) << width]
+    pop, push = stack.pop, stack.append
+    while stack:
+        code = pop()
+        if code > full:                    # steps left
+            di, dj = divmod(code >> width, w)
+            if di:
+                child = code - (w << width)
+                for bit in h_bits:
+                    push(child | bit)
+                stack += [child] * (j - dj)    # unlabeled horizontal edges
+            if dj:
+                child = code - (1 << width)
+                for bit in v_bits:
+                    push(child | bit)
+                stack += [child] * (i - di)    # unlabeled vertical edges
+        elif code == full:
+            n += 1
+    return n
 
-    def walk(k: int, l: int, mask: int) -> int:
-        if k == i and l == j:
-            return 1 if mask == full else 0
-        n = 0
-        if k < i:
-            for idx in range(1, q + l + 2):
-                if idx <= q + 1:
-                    n += walk(k + 1, l, mask | (1 << (idx - 1)))
-                else:
-                    n += walk(k + 1, l, mask)
-        if l < j:
-            for idx in range(1, p + k + 2):
-                if idx <= p + 1:
-                    n += walk(k, l + 1, mask | (1 << (q + idx)))
-                else:
-                    n += walk(k, l + 1, mask)
-        return n
 
-    return walk(0, 0, 0)
+def _sieve(p: int, q: int, imax: int, jmax: int) -> Iterator[tuple[int, int, int]]:
+    # The terms (sign * C(q+1, a) * C(p+1, b), p - b, q - a) of the sum in
+    # count_good_dp.  The call itself checks the (p+2)(q+2) shifted-base
+    # windows of (imax+1)(jmax+1) cells against the budget; terms are lazy.
+    cells = (p + 2) * (q + 2) * (imax + 1) * (jmax + 1)
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetError(f"good-path sieve over {cells} cells exceeds the "
+                          f"budget of {DEFAULT_CELL_BUDGET}")
+    h_signed = [(-1) ** a * comb(q + 1, a) for a in range(q + 2)]
+    v_signed = [(-1) ** b * comb(p + 1, b) for b in range(p + 2)]
+    return ((ha * vb, p - b, q - a)
+            for a, ha in enumerate(h_signed) for b, vb in enumerate(v_signed))
 
 
-def good_count_table(base, imax: int, jmax: int, *,
-                     max_width: int = DEFAULT_MASK_WIDTH,
-                     max_states: int = DEFAULT_STATE_BUDGET) -> list[list[int]]:
-    """Table of good-path counts G(i, j) for 0 <= i <= imax, 0 <= j <= jmax,
-    by one level-synchronous DP pass over (position, consumed-set) states.
-
-    Transitions from a state: each still-unconsumed label of the step
-    direction is one specific edge (consuming it), and the remaining
-    bundle-size minus unconsumed-count edges are unmarked (consumed-label
-    edges included); unmarked edges share one transition with that
-    multiplicity.
-    """
+def good_count_table(base, imax: int, jmax: int) -> list[list[int]]:
+    """Table of good-path counts G(i, j) for 0 <= i <= imax, 0 <= j <= jmax:
+    the inclusion-exclusion sum of count_good_dp, taken over whole
+    recurrence tables at the shifted bases."""
     p, q = _as_vertex(base)
     if imax < 0 or jmax < 0:
         raise ValueError("table bounds must be nonnegative")
-    width = p + q + 2
-    if width > max_width:
-        raise BudgetError(f"label mask of {width} bits exceeds the width "
-                          f"limit {max_width}")
-    states = (imax + 1) * (jmax + 1) * (1 << width)
-    if states > max_states:
-        raise BudgetError(f"DP state space of {states} exceeds the budget "
-                          f"{max_states}")
-    full = (1 << width) - 1
-    h_labels = range(q + 1)            # mask bits of s_1 .. s_{q+1}
-    v_labels = range(q + 1, width)     # mask bits of s_{q+2} .. s_{p+q+2}
-
     g = [[0] * (jmax + 1) for _ in range(imax + 1)]
-    # The empty path consumes nothing; full-mask states can only appear later.
-    cur: dict[tuple[int, int], int] = {(0, 0): 1}  # (k, mask) -> path count
-    for lvl in range(imax + jmax):
-        nxt: dict[tuple[int, int], int] = {}
-        for (k, mask), ways in cur.items():
-            l = lvl - k
-            if k < imax:
-                unconsumed = [a for a in h_labels if not mask >> a & 1]
-                for a in unconsumed:
-                    key = (k + 1, mask | (1 << a))
-                    nxt[key] = nxt.get(key, 0) + ways
-                unmarked = (q + l + 1) - len(unconsumed)
-                if unmarked:
-                    key = (k + 1, mask)
-                    nxt[key] = nxt.get(key, 0) + ways * unmarked
-            if l < jmax:
-                unconsumed = [a for a in v_labels if not mask >> a & 1]
-                for a in unconsumed:
-                    key = (k, mask | (1 << a))
-                    nxt[key] = nxt.get(key, 0) + ways
-                unmarked = (p + k + 1) - len(unconsumed)
-                if unmarked:
-                    key = (k, mask)
-                    nxt[key] = nxt.get(key, 0) + ways * unmarked
-        cur = nxt
-        for (k, mask), ways in cur.items():
-            if mask == full:
-                g[k][lvl + 1 - k] = ways
+    for coeff, pb, qa in _sieve(p, q, imax, jmax):
+        for g_row, a_row in zip(g, _fill(pb, qa, imax, jmax)):
+            for j, a in enumerate(a_row):
+                g_row[j] += coeff * a
     return g
 
 
-def count_good_dp(base, off, *,
-                  max_width: int = DEFAULT_MASK_WIDTH,
-                  max_states: int = DEFAULT_STATE_BUDGET) -> int:
-    """Good-path count by the consumed-label-subset DP; must equal
-    count_good_enumeration wherever both run."""
+def count_good_dp(base, off) -> int:
+    """Good-path count by inclusion-exclusion over the labels a path misses:
+
+        G = sum over a <= q+1, b <= p+1 of
+            (-1)^(a+b) C(q+1, a) C(p+1, b) A_{p-b,q-a}(i, j).
+
+    A path misses label s_a exactly when it never takes that label's fixed
+    edge index, so the paths missing a given a horizontal and b vertical
+    labels are the paths from the shifted base (p-b, q-a).  The name is
+    kept from the consumed-label DP this replaced because it is public API
+    (and a benchmark metric name); it must equal count_good_enumeration
+    wherever both run.
+    """
+    p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    return good_count_table(base, i, j, max_width=max_width,
-                            max_states=max_states)[i][j]
+    return sum(coeff * _count(pb, qa, i, j)
+               for coeff, pb, qa in _sieve(p, q, i, j))
 
 
-def good_fraction(base, off, *,
-                  max_width: int = DEFAULT_MASK_WIDTH,
-                  max_states: int = DEFAULT_STATE_BUDGET) -> Fraction:
+def good_fraction(base, off) -> Fraction:
     """Exact G/A at the given offset (0 below the nonemptiness threshold)."""
-    base = _as_vertex(base)
-    off = _as_offset(off)
-    good = count_good_dp(base, off, max_width=max_width, max_states=max_states)
-    return Fraction(good, closed_form(base, off))
+    p, q = _as_vertex(base)
+    i, j = _as_offset(off)
+    return Fraction(count_good_dp((p, q), (i, j)), _count(p, q, i, j))
 
 
 def bad_path_bound(base, off) -> int:
     """Union-style upper bound on the number of non-good paths:
-    (q+1) A_{p,q-1}(i,j) + (p+1) A_{p-1,q}(i,j).
+    (q+1) A_{p,q-1}(i,j) + (p+1) A_{p-1,q}(i,j), the first Bonferroni
+    truncation (the a+b = 1 terms) of the sieve in count_good_dp.
 
-    Terms with a negative parameter are dropped (their count family is
-    undefined there); with both terms present (p, q >= 1) the bound
+    Terms at a base coordinate of -1 are dropped (closed_form takes only
+    nonnegative bases); with both terms present (p, q >= 1) the bound
     dominates A - G exactly.  With a term dropped the returned partial sum
     is still defined but is not an upper bound.
     """

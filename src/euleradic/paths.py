@@ -12,11 +12,10 @@ the closed form or the recurrence.
 from __future__ import annotations
 
 import re
-import sys
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, PathValidationError
-from .eulerian import Vertex, _as_offset, _as_vertex, closed_form
+from .eulerian import Offset, Vertex, _as_offset, _as_vertex, _count
 
 HORIZONTAL = "H"
 VERTICAL = "V"
@@ -125,19 +124,24 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
             stack.append(_options(nv, i - (nv.x - base.x), j - (nv.y - base.y)))
 
 
+def _enum_args(base, off, max_enum: int) -> tuple[Vertex, Offset]:
+    # The validated base and offset of an exhaustive walk, once its exact
+    # path count fits the budget.
+    base, off = _as_vertex(base), _as_offset(off)
+    expected = _count(*base, *off)
+    if expected > max_enum:
+        raise BudgetError(f"{expected} paths from {tuple(base)} at offset "
+                          f"{tuple(off)} exceed the enumeration budget {max_enum}")
+    return base, off
+
+
 def enumerate_paths(base, off, *,
                     max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
     """Yield every path from base with the given offset, exactly once, in
     lexicographic step order (horizontal before vertical, ascending edge
     index).  The exact count is computed first and checked against the
     budget before any path is produced."""
-    base = _as_vertex(base)
-    off = _as_offset(off)
-    expected = closed_form(base, off)
-    if expected > max_enum:
-        raise BudgetError(f"{expected} paths from {tuple(base)} at offset "
-                          f"{tuple(off)} exceed the enumeration budget {max_enum}")
-    return _walk_all(base, off)
+    return _walk_all(*_enum_args(base, off, max_enum))
 
 
 def count_paths_enumeration(base, off, *,
@@ -145,34 +149,25 @@ def count_paths_enumeration(base, off, *,
     """Count paths by actually walking every one of them (each parallel
     edge taken separately).  Independent oracle for the formulas; budget
     as enumerate_paths."""
-    base = _as_vertex(base)
-    i, j = _as_offset(off)
-    expected = closed_form(base, (i, j))
-    if expected > max_enum:
-        raise BudgetError(f"{expected} paths from {tuple(base)} at offset "
-                          f"{(i, j)} exceed the enumeration budget {max_enum}")
-
-    def walk(y: int, x: int, di: int, dj: int) -> int:
-        if di == 0 and dj == 0:
-            return 1
-        n = 0
-        if di:
-            for _ in range(y + 1):
-                n += walk(y, x + 1, di - 1, dj)
-        if dj:
-            for _ in range(x + 1):
-                n += walk(y + 1, x, di, dj - 1)
-        return n
-
-    depth = i + j + 50
-    old_limit = sys.getrecursionlimit()
-    if depth > old_limit:
-        sys.setrecursionlimit(depth + 100)
-    try:
-        return walk(base.y, base.x, i, j)
-    finally:
-        if depth > old_limit:
-            sys.setrecursionlimit(old_limit)
+    (x, y), (i, j) = _enum_args(base, off, max_enum)
+    # One stack entry per edge taken, holding the steps still to take as
+    # di * w + dj; the vertex reached is (x + i - di, y + j - dj).  A
+    # bundle of k parallel edges is pushed as k separate entries.
+    w = j + 1
+    n = 0
+    stack = [i * w + j]
+    pop = stack.pop
+    while stack:
+        rest = pop()
+        if rest:
+            di, dj = divmod(rest, w)
+            if di:
+                stack += [rest - w] * (y + j - dj + 1)
+            if dj:
+                stack += [rest - 1] * (x + i - di + 1)
+        else:
+            n += 1
+    return n
 
 
 def path_sort_key(path: EulerPath):

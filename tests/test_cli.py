@@ -1,16 +1,27 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import euleradic.cli as cli
+from euleradic import closed_form_sym, count_good_dp
 
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _chunked_int(text):
+    # int() refuses more than 4,300 digits at once
+    n = 0
+    for k in range(0, len(text), 1000):
+        chunk = text[k:k + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
 
 
 def test_table_csv(capsys):
@@ -37,6 +48,24 @@ def test_table_is_deterministic(capsys):
     assert first == second
 
 
+def test_table_past_the_int_to_str_digit_limit(capsys):
+    # the last cell, 20001**1000, has 4,302 digits
+    argv = ("table", "--p", "20000", "--q", "0", "--imax", "0", "--jmax", "1000")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    header, row = out.splitlines()
+    assert header == "i\\j," + ",".join(map(str, range(1001)))
+    cells = row.split(",")
+    assert cells[:3] == ["0", "1", "20001"]
+    assert len(cells[-1]) == 4302 and _chunked_int(cells[-1]) == 20001 ** 1000
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and err == ""
+    assert out.startswith('{"params": {"p": 20000, "q": 0, "imax": 0, '
+                          '"jmax": 1000}, "rows": [[1, 20001, 400040001, ')
+    assert out.endswith("]]}\n")
+    assert _chunked_int(out[:-4].rsplit(", ", 1)[1]) == 20001 ** 1000
+
+
 def test_converge_output(capsys):
     rc, out, _ = run(capsys, "converge", "--p", "1", "--q", "0",
                      "--diag", "40", "--step", "10")
@@ -60,6 +89,25 @@ def test_good_exact_line(capsys):
     rc, out, _ = run(capsys, "good", "--p", "0", "--q", "0",
                      "--i", "1", "--j", "1", "--method", "enum")
     assert rc == 0 and out == "G=2 A=4 G/A=1/2\n"
+
+
+def test_good_line_past_the_int_to_str_digit_limit(capsys):
+    rc, out, err = run(capsys, "good", "--p", "0", "--q", "0",
+                       "--i", "900", "--j", "900")
+    assert rc == 0 and err == ""
+    g, a, ratio = (field.split("=", 1)[1] for field in out.split())
+    assert len(a) > 5000
+    assert _chunked_int(a) == closed_form_sym((0, 0), (900, 900))
+    assert _chunked_int(g) == count_good_dp((0, 0), (900, 900))
+    f = Fraction(_chunked_int(g), _chunked_int(a))
+    assert ratio == f"{f.numerator}/{f.denominator}"
+
+
+def test_good_enum_walks_long_paths(capsys):
+    rc, out, err = run(capsys, "good", "--p", "0", "--q", "0",
+                       "--i", "3000", "--j", "0", "--method", "enum")
+    assert rc == 0 and err == ""
+    assert out == "G=0 A=1 G/A=0/1\n"
 
 
 def test_transport_round_trip(capsys):
@@ -154,3 +202,6 @@ def test_resource_errors_exit_two(capsys):
     rc, _, err = run(capsys, "converge", "--p", "1", "--q", "1",
                      "--diag", "5", "--step", "0")
     assert rc == 2 and "error:" in err
+    rc, out, err = run(capsys, "good", "--p", "0", "--q", "0",
+                       "--i", "2000", "--j", "2000")
+    assert rc == 2 and out == "" and "budget" in err

@@ -17,6 +17,7 @@ from euleradic import (
     generalized_binomial,
     recurrence_table,
 )
+from euleradic.eulerian import _alternating_sum, _fill
 
 
 def test_known_small_values():
@@ -46,6 +47,22 @@ def test_closed_forms_agree_with_recurrence():
                     a = table[i, j]
                     assert closed_form((p, q), (i, j)) == a
                     assert closed_form_sym((p, q), (i, j)) == a
+
+
+def test_kernel_at_bases_down_to_minus_one():
+    # Base coordinate -1 is the internal case the good-path sieve relies on;
+    # the reflection (p, q, i, j) -> (q, p, j, i) holds there as well.
+    for p in range(-1, 4):
+        for q in range(-1, 4):
+            rows = _fill(p, q, 8, 8)
+            for i in range(9):
+                for j in range(9):
+                    assert _alternating_sum(p, q, i, j) == rows[i][j]
+                    assert _alternating_sum(q, p, j, i) == rows[i][j]
+
+
+def test_skewed_offsets_sum_over_the_shorter_index():
+    assert dim_between(ORIGIN, (200000, 0)) == 1
 
 
 def test_comtet_matches_origin_and_descent_oracle():

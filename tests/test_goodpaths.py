@@ -154,11 +154,20 @@ def test_bad_path_bound_drops_negative_terms():
     assert bad_path_bound((0, 0), (2, 2)) == 0
 
 
+def test_sieve_at_cells_the_mask_dp_refused_or_took_seconds_on():
+    for base, off in [((12, 12), (20, 20)), ((3, 3), (60, 60))]:
+        assert count_good_dp(base, off) == good_count_by_sieve(base, off)
+    assert good_count_table((3, 3), 60, 60)[60][60] \
+        == good_count_by_sieve((3, 3), (60, 60))
+
+
 def test_dp_budget_errors():
+    # (p+2)(q+2)(i+1)(j+1) cells against the default budget of 10**7
     with pytest.raises(BudgetError):
-        count_good_dp((15, 15), (20, 20))
+        count_good_dp((0, 0), (2000, 2000))
     with pytest.raises(BudgetError):
-        good_count_table((2, 2), 200, 200, max_states=10 ** 4)
+        good_count_table((15, 15), 200, 200)
+    assert count_good_dp((0, 0), (1000, 1000)) > 0
 
 
 def test_diagonal_fraction_rises_to_one():

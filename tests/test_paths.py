@@ -1,5 +1,7 @@
 """Path objects, exhaustive enumeration, and the text format."""
 
+import sys
+
 import pytest
 
 from math import factorial
@@ -52,6 +54,13 @@ def test_count_by_walking_matches_closed_form():
                     off = (i, s - i)
                     assert count_paths_enumeration((p, q), off) \
                         == closed_form((p, q), off)
+
+
+def test_long_walk_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    assert count_paths_enumeration((0, 0), (5000, 0)) == 1
+    assert count_paths_enumeration((0, 1), (0, 5000)) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 def test_axis_counts_are_powers():
