@@ -4,15 +4,22 @@ The edges entering each vertex carry a fixed total order: the bundle from
 the horizontal parent (x-1, y) in ascending edge index, then the bundle
 from the vertical parent (x, y-1) in ascending edge index.  Paths from
 the root to a common vertex are compared at the last level where their
-edges differ; the successor map sends a non-maximal path to the next one
-in this order by advancing the lowest advanceable edge and resetting
-everything below it to the minimal configuration.  The symmetric measure
-assigns exactly 1/(n+1)! to every cylinder of length n.
+edges differ.  That order is a mixed-radix odometer: the digit at each
+level is the rank of the path's edge among the edges entering the vertex
+it reaches, and the top level is the most significant digit.  The
+successor map advances the odometer: it increments the lowest digit that
+can still grow and resets everything below it to the minimal path to the
+new parent, in place and in amortized O(1) time per path.  `orbit`
+starts the odometer at the minimal path and advances it through
+`successor`, which resumes the odometer behind a path it has just built,
+so no path that `orbit` yields is parsed or validated.  The symmetric
+measure assigns exactly 1/(n+1)! to every cylinder of length n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -90,51 +97,120 @@ def compare(a: EulerPath, b: EulerPath) -> int:
     return -1 if ra < rb else 1
 
 
-def _extreme_path(v, take_last: bool) -> EulerPath:
-    v = _as_vertex(v)
-    steps: list[Step] = []
-    cur = v
-    while cur != ORIGIN:
-        edges = incoming_order(cur)
-        edge = edges[-1] if take_last else edges[0]
-        direction = HORIZONTAL if edge.parent.x < cur.x else VERTICAL
-        steps.append(Step(direction, edge.edge_index))
-        cur = edge.parent
-    return EulerPath(ORIGIN, tuple(reversed(steps)))
+_H1 = Step(HORIZONTAL, 1)
+_V1 = Step(VERTICAL, 1)
+
+
+def _minimal_steps(x: int, y: int) -> list[Step]:
+    return [_V1] * y + [_H1] * x
 
 
 def minimal_path(v) -> EulerPath:
-    """The least root path to v: first incoming edge at every level."""
-    return _extreme_path(v, take_last=False)
+    """The least root path to v: first incoming edge at every level, which
+    is V1 up the y axis and then H1 across."""
+    return EulerPath(ORIGIN, tuple(_minimal_steps(*_as_vertex(v))))
 
 
 def maximal_path(v) -> EulerPath:
-    """The greatest root path to v: last incoming edge at every level."""
-    return _extreme_path(v, take_last=True)
+    """The greatest root path to v: last incoming edge at every level, which
+    is H1 along the x axis and then the last vertical edge V(x+1) up."""
+    x, y = _as_vertex(v)
+    return EulerPath(ORIGIN, (_H1,) * x + (Step(VERTICAL, x + 1),) * y)
+
+
+class _Odometer:
+    # The root paths to one vertex as a mixed-radix counter.  Digit k is
+    # the incoming rank of step k at the vertex it enters, the top level
+    # is the most significant digit, and the counter's order is compare's.
+    # xs[k] is the x coordinate after step k.  Levels below `lo` enter
+    # vertices on an axis, which have one incoming edge; every level from
+    # lo up enters a vertex (x, y) with x, y >= 1 and (y+1) + (x+1)
+    # incoming edges.
+
+    __slots__ = ("steps", "xs", "ranks", "lo")
+
+    def __init__(self, steps):
+        # `steps` must be a valid root path; nothing is checked here.
+        self.steps = list(steps)
+        self.xs = list(accumulate(int(s.direction == HORIZONTAL) for s in steps))
+        self.ranks = [_incoming_rank(Vertex(x, k + 1 - x), s)
+                      for k, (x, s) in enumerate(zip(self.xs, self.steps))]
+        self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
+                       len(self.steps))
+
+    def path(self) -> EulerPath:
+        return EulerPath(ORIGIN, tuple(self.steps))
+
+    def _advance(self) -> bool:
+        # Step to the successor in place; False when the path is maximal.
+        steps, xs, ranks = self.steps, self.xs, self.ranks
+        m = self.lo
+        # Level m enters a vertex of level m + 1, which from lo up has
+        # m + 3 incoming edges; rank m + 2 is the last.
+        while m < len(steps) and ranks[m] == m + 2:
+            m += 1
+        if m == len(steps):
+            return False
+        x = xs[m]
+        y = m + 1 - x
+        rank = ranks[m] = ranks[m] + 1
+        # The horizontal bundle from (x-1, y) holds ranks 0..y, the
+        # vertical bundle from (x, y-1) the ranks after it.
+        if rank <= y:
+            steps[m] = Step(HORIZONTAL, rank + 1)
+            px, py = x - 1, y
+        else:
+            steps[m] = Step(VERTICAL, rank - y)
+            px, py = x, y - 1
+        # Levels below m become the minimal path to the new parent,
+        # V1 * py then H1 * px.  A parent on an axis has one root path,
+        # already in place unless the parent changed (rank y to y + 1).
+        if px and py or rank == y + 1:
+            steps[:m] = _minimal_steps(px, py)
+            xs[:m] = [0] * py + list(range(1, px + 1))
+            ranks[:m] = [0] * m
+        self.lo = py if px and py else m
+        return True
+
+
+# The odometer behind the last path that `successor` or `orbit` built,
+# keyed by the path's id, so that successor(x) on that path resumes it
+# instead of checking and reloading x.  The entry holds the path, so its
+# id is not reused while it is here, and pop hands the odometer to one
+# caller only.  Building a path clears the older entries.
+_resume: dict[int, tuple[EulerPath, _Odometer]] = {}
+
+
+def _built(odometer: _Odometer) -> EulerPath:
+    path = odometer.path()
+    _resume.clear()
+    _resume[id(path)] = (path, odometer)
+    return path
 
 
 def successor(x: EulerPath) -> EulerPath:
     """The smallest root path to the same end vertex that is strictly
-    greater than x; raises MaximalPathError when x is maximal."""
-    _require_root(x)
-    validate(x)
-    verts = _vertex_trail(x)
-    for m in range(len(x.steps)):
-        child = verts[m + 1]
-        edges = incoming_order(child)
-        rank = _incoming_rank(child, x.steps[m])
-        if rank + 1 < len(edges):
-            edge = edges[rank + 1]
-            direction = HORIZONTAL if edge.parent.x < child.x else VERTICAL
-            head = minimal_path(edge.parent)
-            steps = head.steps + (Step(direction, edge.edge_index),) + x.steps[m + 1:]
-            return EulerPath(ORIGIN, steps)
-    raise MaximalPathError(f"path to {tuple(verts[-1])} is maximal")
+    greater than x; raises MaximalPathError when x is maximal.  A path
+    that successor or orbit has just built resumes its odometer without
+    being checked again, so walking an orbit by successor takes amortized
+    O(1) time per path; any other x is checked and loaded first."""
+    _, odometer = _resume.pop(id(x), (None, None))
+    if odometer is None:
+        _require_root(x)
+        validate(x)
+        odometer = _Odometer(x.steps)
+    if not odometer._advance():
+        x_end = odometer.xs[-1] if odometer.xs else 0
+        end = (x_end, len(odometer.xs) - x_end)
+        raise MaximalPathError(f"path to {end} is maximal")
+    return _built(odometer)
 
 
 def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
     """All root paths to v in successor order, from minimal to maximal.
-    The exact path count is checked against the budget first."""
+    The exact path count is checked against the budget first.  The paths
+    come from one odometer started at the minimal path and advanced by
+    successor, so none of them is parsed or checked."""
     v = _as_vertex(v)
     total = dim_between(ORIGIN, v)
     if total > max_enum:
@@ -142,7 +218,7 @@ def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
                           f"the enumeration budget {max_enum}")
 
     def run() -> Iterator[EulerPath]:
-        cur = minimal_path(v)
+        cur = _built(_Odometer(_minimal_steps(*v)))
         while True:
             yield cur
             try:

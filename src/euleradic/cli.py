@@ -1,7 +1,8 @@
 """Command-line front end: count tables, verification suites, convergence
 data, good-path queries, transports, orbits, and code round-trips.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or resource error.
+Exit codes: 0 success, 1 verification failure, 2 usage or resource error
+or output closed early.
 All output is byte-deterministic for fixed flags.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -436,7 +438,18 @@ def main(argv=None) -> int:
             if getattr(args, key) is None:
                 setattr(args, key, value)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # flush at exit finds nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was all written (broken pipe)",
+              file=sys.stderr)
+        return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
-                       _count, _fill, closed_form)
+                       _count, _fill)
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL,
                     _enum_args, multiplicity, validate)
 
@@ -173,20 +173,14 @@ def good_fraction(base, off) -> Fraction:
 
 
 def bad_path_bound(base, off) -> int:
-    """Union-style upper bound on the number of non-good paths:
+    """Union bound on the number of non-good paths:
     (q+1) A_{p,q-1}(i,j) + (p+1) A_{p-1,q}(i,j), the first Bonferroni
     truncation (the a+b = 1 terms) of the sieve in count_good_dp.
 
-    Terms at a base coordinate of -1 are dropped (closed_form takes only
-    nonnegative bases); with both terms present (p, q >= 1) the bound
-    dominates A - G exactly.  With a term dropped the returned partial sum
-    is still defined but is not an upper bound.
+    Each term counts the paths that miss one given label, so the bound
+    dominates A - G at every base; a term at base coordinate -1 counts
+    paths from a base whose bundles in that direction have one edge fewer.
     """
     p, q = _as_vertex(base)
-    off = _as_offset(off)
-    bound = 0
-    if q >= 1:
-        bound += (q + 1) * closed_form((p, q - 1), off)
-    if p >= 1:
-        bound += (p + 1) * closed_form((p - 1, q), off)
-    return bound
+    i, j = _as_offset(off)
+    return (q + 1) * _count(p, q - 1, i, j) + (p + 1) * _count(p - 1, q, i, j)

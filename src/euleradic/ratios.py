@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, floor
 
 from .eulerian import (CountTable, Offset, ORIGIN, Vertex, _as_offset,
-                       _as_vertex, closed_form, dim_between, recurrence_table)
+                       _as_vertex, _count, dim_between, recurrence_table)
 
 
 def ratio_down_q(base, off) -> Fraction:
@@ -27,7 +27,7 @@ def ratio_down_q(base, off) -> Fraction:
         raise ValueError(f"ratio_down_q needs q >= 1, got base {(p, q)}")
     if (i, j) == (0, 0):
         raise ValueError("ratio is not defined at the zero offset")
-    return Fraction(closed_form((p, q), (i, j)), closed_form((p, q - 1), (i, j)))
+    return Fraction(_count(p, q, i, j), _count(p, q - 1, i, j))
 
 
 def ratio_down_p(base, off) -> Fraction:
@@ -41,7 +41,7 @@ def ratio_down_p(base, off) -> Fraction:
         raise ValueError(f"ratio_down_p needs p >= 1, got base {(p, q)}")
     if (i, j) == (0, 0):
         raise ValueError("ratio is not defined at the zero offset")
-    return Fraction(closed_form((p, q), (i, j)), closed_form((p - 1, q), (i, j)))
+    return Fraction(_count(p, q, i, j), _count(p - 1, q, i, j))
 
 
 def monotonicity_violations(num: CountTable, den: CountTable,

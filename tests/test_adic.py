@@ -1,15 +1,19 @@
 """Successor dynamics on root paths and symmetric-measure bookkeeping."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import factorial
 
 from euleradic import (
     BudgetError,
+    EulerPath,
     IncomingEdge,
     MaximalPathError,
     ORIGIN,
+    Step,
     Vertex,
     compare,
     cylinder_frequency,
@@ -23,6 +27,59 @@ from euleradic import (
     parse_path,
     successor,
 )
+
+
+def _extreme_by_incoming_order(v, take_last):
+    # The first-edge (or last-edge) walk down from v through incoming_order.
+    cur = Vertex(*v)
+    steps = []
+    while cur != ORIGIN:
+        edges = incoming_order(cur)
+        edge = edges[-1] if take_last else edges[0]
+        direction = "H" if edge.parent.x < cur.x else "V"
+        steps.append(Step(direction, edge.edge_index))
+        cur = edge.parent
+    return EulerPath(ORIGIN, tuple(reversed(steps)))
+
+
+def successor_by_incoming_order(x):
+    """List-based successor: at the lowest level whose edge is not the last
+    in incoming_order, take the next edge and put the first-edge walk to
+    its parent below it."""
+    verts = [ORIGIN]
+    for step in x.steps:
+        v = verts[-1]
+        verts.append(Vertex(v.x + 1, v.y) if step.direction == "H"
+                     else Vertex(v.x, v.y + 1))
+    for m, step in enumerate(x.steps):
+        child = verts[m + 1]
+        edges = incoming_order(child)
+        parent = verts[m]
+        rank = edges.index(IncomingEdge(parent, step.edge_index))
+        if rank + 1 < len(edges):
+            edge = edges[rank + 1]
+            direction = "H" if edge.parent.x < child.x else "V"
+            head = _extreme_by_incoming_order(edge.parent, take_last=False)
+            return EulerPath(ORIGIN, head.steps + (Step(direction, edge.edge_index),)
+                             + x.steps[m + 1:])
+    raise MaximalPathError(f"path to {tuple(verts[-1])} is maximal")
+
+
+@st.composite
+def root_paths(draw, max_steps=40):
+    # Valid root paths: each drawn (direction, r) takes edge r mod the
+    # bundle size at the running vertex.
+    x = y = 0
+    steps = []
+    for horizontal, r in draw(st.lists(st.tuples(st.booleans(), st.integers(0, 99)),
+                                       max_size=max_steps)):
+        if horizontal:
+            steps.append(Step("H", r % (y + 1) + 1))
+            x += 1
+        else:
+            steps.append(Step("V", r % (x + 1) + 1))
+            y += 1
+    return EulerPath(ORIGIN, tuple(steps))
 
 
 def test_incoming_order_examples():
@@ -84,6 +141,70 @@ def test_successor_steps_through_the_order():
     assert len(seen) == 11
 
 
+def test_extreme_paths_are_the_incoming_order_walks():
+    for n in range(9):
+        for x in range(n + 1):
+            v = (x, n - x)
+            assert minimal_path(v) == _extreme_by_incoming_order(v, take_last=False)
+            assert maximal_path(v) == _extreme_by_incoming_order(v, take_last=True)
+
+
+@given(root_paths())
+def test_successor_matches_the_list_based_oracle(x):
+    if x == maximal_path(x.end()):
+        with pytest.raises(MaximalPathError):
+            successor(x)
+        with pytest.raises(MaximalPathError):
+            successor_by_incoming_order(x)
+    else:
+        y = successor(x)
+        assert y == successor_by_incoming_order(x)
+        assert compare(x, y) == -1
+
+
+def test_successor_of_the_root_path_is_maximal():
+    with pytest.raises(MaximalPathError):
+        successor(parse_path("(0,0):"))
+
+
+def test_orbit_advances_by_successor_and_validates_nothing(monkeypatch):
+    import euleradic.adic as adic
+
+    calls = {"successor": 0, "validate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(adic, "successor", counted("successor", adic.successor))
+    monkeypatch.setattr(adic, "validate", counted("validate", adic.validate))
+    paths = list(orbit((2, 3)))
+    # One successor call per path; the last finds the maximal path.
+    assert len(paths) == calls["successor"] == 302
+    assert calls["validate"] == 0
+
+
+def test_interleaved_orbits_and_successor_calls_keep_the_order():
+    vertices = [(3, 3), (2, 4)]
+    expected = {v: list(orbit(v)) for v in vertices}
+    iterators = {v: orbit(v) for v in vertices}
+    got = {v: [] for v in vertices}
+    for _ in range(max(map(len, expected.values()))):
+        for v in vertices:
+            path = next(iterators[v], None)
+            if path is None:
+                continue
+            got[v].append(path)
+            # A successor call of the caller's own, on a path the orbit
+            # has just built, must not move the orbit on.
+            k = len(got[v])
+            if k < len(expected[v]):
+                assert successor(path) == expected[v][k]
+    assert got == expected
+
+
 def test_orbit_exact_at_1_1():
     assert list(orbit((1, 1))) == [
         parse_path("(0,0):V1,H1"),
@@ -101,6 +222,19 @@ def test_orbits_up_to_level_four():
             assert len(paths) == dim_between(ORIGIN, v)
             assert all(compare(a, b) == -1 for a, b in zip(paths, paths[1:]))
             assert set(paths) == set(enumerate_paths(ORIGIN, v))
+
+
+def test_orbit_is_the_compare_order_through_level_seven():
+    for n in range(8):
+        for x in range(n + 1):
+            v = (x, n - x)
+            expected = sorted(enumerate_paths(ORIGIN, v), key=cmp_to_key(compare))
+            assert list(orbit(v)) == expected
+
+
+def test_orbit_on_an_axis_is_one_path():
+    for v in [(3000, 0), (0, 3000)]:
+        assert list(orbit(v)) == [minimal_path(v)]
 
 
 def test_orbit_budget():

@@ -1,7 +1,11 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,20 @@ def test_resource_errors_exit_two(capsys):
     rc, out, err = run(capsys, "good", "--p", "0", "--q", "0",
                        "--i", "2000", "--j", "2000")
     assert rc == 2 and out == "" and "budget" in err
+
+
+def test_closed_pipe_exits_two_without_a_traceback():
+    # 15,619 lines overrun any pipe buffer, so the writer meets the closed
+    # pipe while the orbit is still being printed.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "euleradic.cli", "orbit",
+                             "--vertex", "3,4"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"(0,0):V1,V1,V1,V1,H1,H1,H1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -148,10 +148,19 @@ def test_bad_path_bound_window():
                     assert a - good[i][j] <= bad_path_bound((p, q), (i, j))
 
 
-def test_bad_path_bound_drops_negative_terms():
-    # with q = 0 only the vertical family contributes
-    assert bad_path_bound((1, 0), (2, 2)) == 2 * closed_form((0, 0), (2, 2))
-    assert bad_path_bound((0, 0), (2, 2)) == 0
+def test_bad_path_bound_keeps_axis_terms():
+    # at q = 0 the horizontal family is counted from a base whose
+    # horizontal bundles have one edge fewer
+    assert bad_path_bound((1, 0), (2, 2)) == \
+        _reduced_count((1, 0), (2, 2), 1, 0) + 2 * closed_form((0, 0), (2, 2))
+    assert bad_path_bound((0, 0), (2, 2)) == \
+        _reduced_count((0, 0), (2, 2), 1, 0) + _reduced_count((0, 0), (2, 2), 0, 1)
+    for p, q in [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]:
+        good = good_count_table((p, q), 8, 8)
+        for i in range(9):
+            for j in range(9):
+                a = closed_form((p, q), (i, j))
+                assert a - good[i][j] <= bad_path_bound((p, q), (i, j))
 
 
 def test_sieve_at_cells_the_mask_dp_refused_or_took_seconds_on():

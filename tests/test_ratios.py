@@ -8,6 +8,7 @@ from euleradic import (
     ORIGIN,
     check_monotonicity,
     closed_form,
+    closed_form_sym,
     convergence_report,
     dim_between,
     directional_limit_q,
@@ -30,6 +31,15 @@ def test_ratio_values():
     # two ratio families
     for off in [(1, 2), (3, 1), (2, 2)]:
         assert ratio_down_q((2, 1), off) == ratio_down_p((1, 2), off[::-1])
+
+
+def test_ratios_equal_quotients_of_the_j_indexed_form():
+    for base, off in [((1, 1), (3, 2)), ((2, 3), (0, 4)), ((1, 1), (2000, 10))]:
+        p, q = base
+        assert ratio_down_q(base, off) == Fraction(
+            closed_form_sym(base, off), closed_form_sym((p, q - 1), off))
+        assert ratio_down_p(base, off) == Fraction(
+            closed_form_sym(base, off), closed_form_sym((p - 1, q), off))
 
 
 def test_ratio_domain_errors():
