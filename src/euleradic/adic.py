@@ -68,15 +68,6 @@ def _require_root(path: EulerPath) -> None:
         raise ValueError(f"expected a root path, got start {tuple(path.start)}")
 
 
-def _vertex_trail(path: EulerPath) -> list[Vertex]:
-    verts = [Vertex(*path.start)]
-    for step in path.steps:
-        v = verts[-1]
-        verts.append(Vertex(v.x + 1, v.y) if step.direction == HORIZONTAL
-                     else Vertex(v.x, v.y + 1))
-    return verts
-
-
 def compare(a: EulerPath, b: EulerPath) -> int:
     """-1, 0 or 1 ordering two root paths with the same end vertex, by the
     rank of their edges at the last level where they differ."""
@@ -88,13 +79,18 @@ def compare(a: EulerPath, b: EulerPath) -> int:
                          f"{tuple(end_a)} and {tuple(end_b)}")
     if a.steps == b.steps:
         return 0
-    m = max(k for k in range(len(a.steps)) if a.steps[k] != b.steps[k])
-    # The suffixes above m coincide, so both paths pass through the same
-    # vertex after step m; ranks there decide.
-    child = _vertex_trail(a)[m + 1]
-    ra = _incoming_rank(child, a.steps[m])
-    rb = _incoming_rank(child, b.steps[m])
-    return -1 if ra < rb else 1
+    # Scan down from the top level.  Above the last differing step the
+    # suffixes coincide, so both paths enter the same vertex there: the
+    # end vertex minus the shared suffix.  Ranks there decide.
+    x, y = end_a
+    for sa, sb in zip(reversed(a.steps), reversed(b.steps)):
+        if sa != sb:
+            child = Vertex(x, y)
+            return -1 if _incoming_rank(child, sa) < _incoming_rank(child, sb) else 1
+        if sa.direction == HORIZONTAL:
+            x -= 1
+        else:
+            y -= 1
 
 
 _H1 = Step(HORIZONTAL, 1)

@@ -1,12 +1,13 @@
 """Per-step path encoding and the good-path transport bijection.
 
 Each step of a path is encoded by one symbol: s_a when the step traverses
-a still-marked edge labeled s_a, otherwise h_a (resp. v_a) where a is the
-edge's 1-based position among the unmarked horizontal (resp. vertical)
-edges of its bundle, in ascending edge-index order.  Decoding replays a
-symbol sequence greedily from any base of the same level; on good paths
-with a deep enough endpoint (i, j >= p+q+2) this transports the good-path
-set of one base bijectively onto that of another.
+a still-marked edge labeled s_a (labels as in goodpaths.LabelScheme),
+otherwise h_a (resp. v_a) where a is the edge's 1-based position among
+the unmarked horizontal (resp. vertical) edges of its bundle, in
+ascending edge-index order.  Decoding replays a symbol sequence greedily
+from any base of the same level; on good paths with a deep enough
+endpoint (i, j >= p+q+2) this transports the good-path set of one base
+bijectively onto that of another.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .paths import EulerPath, HORIZONTAL, Step, VERTICAL, validate
 KIND_MARKED = "s"
 KIND_H_UNMARKED = "h"
 KIND_V_UNMARKED = "v"
+
+_UNMARKED_KIND = {HORIZONTAL: KIND_H_UNMARKED, VERTICAL: KIND_V_UNMARKED}
+_UNMARKED_DIRECTION = {kind: d for d, kind in _UNMARKED_KIND.items()}
 
 
 class EncodingSymbol(NamedTuple):
@@ -41,26 +45,6 @@ class EncodingSequence(NamedTuple):
     symbols: tuple[EncodingSymbol, ...]
 
 
-def _h_label(q: int, idx: int) -> int | None:
-    return idx if idx <= q + 1 else None
-
-
-def _v_label(p: int, q: int, idx: int) -> int | None:
-    return q + 1 + idx if idx <= p + 1 else None
-
-
-def _unmarked_position(idx: int, labeled: int, consumed: int, first_bit: int) -> int:
-    """Position of edge `idx` among the unmarked edges of its bundle:
-    idx minus the number of marked (labeled, unconsumed) edges below it.
-    `labeled` is the bundle's labeled-edge count, `first_bit` the mask bit
-    of its first label."""
-    marked_below = 0
-    for a in range(min(labeled, idx - 1)):
-        if not consumed >> (first_bit + a) & 1:
-            marked_below += 1
-    return idx - marked_below
-
-
 def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     """Encode a path (any path, good or not) relative to the scheme whose
     base it starts at."""
@@ -68,27 +52,21 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
         raise ValueError(f"path starts at {tuple(path.start)}, "
                          f"scheme base is {tuple(scheme.base)}")
     validate(path)
-    p, q = scheme.base
+    bundles = scheme.bundles
     consumed = 0
     symbols: list[EncodingSymbol] = []
-    for step in path.steps:
-        if step.direction == HORIZONTAL:
-            label = _h_label(q, step.edge_index)
-            if label is not None and not consumed >> (label - 1) & 1:
-                consumed |= 1 << (label - 1)
-                symbols.append(EncodingSymbol(KIND_MARKED, label))
-            else:
-                pos = _unmarked_position(step.edge_index, q + 1, consumed, 0)
-                symbols.append(EncodingSymbol(KIND_H_UNMARKED, pos))
+    for direction, idx in path.steps:
+        first, labeled = bundles[direction]
+        if idx <= labeled and not consumed >> (first + idx - 1) & 1:
+            consumed |= 1 << (first + idx - 1)
+            symbols.append(EncodingSymbol(KIND_MARKED, first + idx))
         else:
-            label = _v_label(p, q, step.edge_index)
-            if label is not None and not consumed >> (label - 1) & 1:
-                consumed |= 1 << (label - 1)
-                symbols.append(EncodingSymbol(KIND_MARKED, label))
-            else:
-                pos = _unmarked_position(step.edge_index, p + 1, consumed, q + 1)
-                symbols.append(EncodingSymbol(KIND_V_UNMARKED, pos))
-    return EncodingSequence(p + q, tuple(symbols))
+            # Position among the unmarked edges: idx less the marked
+            # (labeled, unconsumed) edges below it.
+            below = min(labeled, idx - 1)
+            pos = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
+            symbols.append(EncodingSymbol(_UNMARKED_KIND[direction], pos))
+    return EncodingSequence(sum(scheme.base), tuple(symbols))
 
 
 def unmarked_counts(scheme: LabelScheme, path: EulerPath, m: int) -> tuple[int, int]:
@@ -105,21 +83,15 @@ def unmarked_counts(scheme: LabelScheme, path: EulerPath, m: int) -> tuple[int, 
     if Vertex(*path.start) != scheme.base:
         raise ValueError(f"path starts at {tuple(path.start)}, "
                          f"scheme base is {tuple(scheme.base)}")
-    p, q = scheme.base
-    x, y = scheme.base
-    consumed = 0
-    for step in path.steps[:m]:
-        if step.direction == HORIZONTAL:
-            label = _h_label(q, step.edge_index)
-            x += 1
-        else:
-            label = _v_label(p, q, step.edge_index)
-            y += 1
-        if label is not None:
-            consumed |= 1 << (label - 1)
-    marked_h = sum(1 for a in range(q + 1) if not consumed >> a & 1)
-    marked_v = sum(1 for a in range(q + 1, p + q + 2) if not consumed >> a & 1)
-    return (y + 1) - marked_h, (x + 1) - marked_v
+    validate(path)
+    head = path.steps[:m]
+    consumed = scheme.consumed(head)
+    dx = [step.direction for step in head].count(HORIZONTAL)
+    # A bundle's unmarked edges are its consumed labeled edges plus one
+    # unlabeled edge per step taken in the other direction.  The vertical
+    # labels are the mask's top bits.
+    v_used = (consumed >> scheme.bundles[VERTICAL][0]).bit_count()
+    return m - dx + consumed.bit_count() - v_used, dx + v_used
 
 
 def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
@@ -143,39 +115,30 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
             if consumed >> (a - 1) & 1:
                 raise DecodeError(f"symbol {pos}: label s_{a} already consumed")
             consumed |= 1 << (a - 1)
-            if a <= q + 1:
-                steps.append(Step(HORIZONTAL, a))
-                x += 1
-            else:
-                steps.append(Step(VERTICAL, a - (q + 1)))
-                y += 1
-        elif sym.kind in (KIND_H_UNMARKED, KIND_V_UNMARKED):
-            horizontal = sym.kind == KIND_H_UNMARKED
-            size = y + 1 if horizontal else x + 1
-            labeled = q + 1 if horizontal else p + 1
-            first_bit = 0 if horizontal else q + 1
+            step = scheme.steps[a - 1]
+        elif sym.kind in _UNMARKED_DIRECTION:
+            direction = _UNMARKED_DIRECTION[sym.kind]
+            first, labeled = scheme.bundles[direction]
+            size = y + 1 if direction == HORIZONTAL else x + 1
             seen = 0
-            idx = None
-            for e in range(1, size + 1):
-                unmarked = (e > labeled) or bool(consumed >> (first_bit + e - 1) & 1)
-                if unmarked:
+            for idx in range(1, size + 1):
+                if idx > labeled or consumed >> (first + idx - 1) & 1:
                     seen += 1
                     if seen == sym.index:
-                        idx = e
                         break
-            if idx is None:
+            else:
                 raise DecodeError(
                     f"symbol {pos}: only {seen} unmarked "
-                    f"{'horizontal' if horizontal else 'vertical'} edges at "
-                    f"{(x, y)}, need position {sym.index}")
-            if horizontal:
-                steps.append(Step(HORIZONTAL, idx))
-                x += 1
-            else:
-                steps.append(Step(VERTICAL, idx))
-                y += 1
+                    f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
+                    f"edges at {(x, y)}, need position {sym.index}")
+            step = Step(direction, idx)
         else:
             raise DecodeError(f"symbol {pos}: unknown kind {sym.kind!r}")
+        steps.append(step)
+        if step.direction == HORIZONTAL:
+            x += 1
+        else:
+            y += 1
     return EulerPath(scheme.base, tuple(steps))
 
 

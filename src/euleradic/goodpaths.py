@@ -1,22 +1,21 @@
 """Edge labeling relative to a base vertex, and good-path counting.
 
-Relative to a base (p, q), the first q+1 horizontal edges out of every
-vertex above the base carry labels s_1..s_{q+1} and the first p+1
-vertical edges carry labels s_{q+2}..s_{p+q+2}.  A label is consumed the
-first time the path traverses its edge while still marked; afterwards
-that edge behaves like an unlabeled one.  A path is good when it consumes
-all p+q+2 labels.  Good paths exist exactly when i >= q+1 and j >= p+1.
+LabelScheme states which edges carry which labels.  A label is consumed
+the first time the path traverses its edge while still marked;
+afterwards that edge behaves like an unlabeled one.  A path is good when
+it consumes all p+q+2 labels.  Good paths exist exactly when i >= q+1
+and j >= p+1.
 
 Counting is done two ways: honest exhaustive traversal (every parallel
-edge walked separately, consumed sets kept as bitmasks with bit a-1
-standing for label s_a) and inclusion-exclusion over the labels a path
-misses, which reduces to signed sums of ordinary path counts from shifted
-bases (see count_good_dp).
+edge walked separately, consumed sets kept as LabelScheme masks) and
+inclusion-exclusion over the labels a path misses, which reduces to
+signed sums of ordinary path counts from shifted bases (see
+count_good_dp).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -24,18 +23,35 @@ from typing import Iterator
 from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
                        _count, _fill)
-from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL,
-                    _enum_args, multiplicity, validate)
+from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
+                    VERTICAL, _enum_args, multiplicity, validate)
 
 
 @dataclass(frozen=True)
 class LabelScheme:
-    """The labeling of edge bundles relative to a base vertex."""
+    """The labeling of edge bundles relative to a base vertex (p, q).
+
+    This is the one statement of the label rule.  In every bundle above
+    the base, horizontal edge k <= q+1 carries label s_k, vertical edge
+    k <= p+1 carries s_{q+1+k}, and every other edge is unlabeled.  In a
+    mask of labels, bit a-1 stands for s_a, so `bundles` maps each
+    direction to its first mask bit and its labeled-edge count:
+    H to (0, q+1) and V to (q+1, p+1).  The inverse, `steps[a-1]`, is
+    the step along the edge that carries s_a.
+    """
 
     base: Vertex
+    bundles: dict = field(init=False, repr=False, compare=False)
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", _as_vertex(self.base))
+        p, q = self.base
+        bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
+        object.__setattr__(self, "bundles", bundles)
+        object.__setattr__(self, "steps", tuple(
+            Step(direction, k) for direction, (_, labeled) in bundles.items()
+            for k in range(1, labeled + 1)))
 
     @property
     def label_count(self) -> int:
@@ -44,6 +60,16 @@ class LabelScheme:
     @property
     def full_mask(self) -> int:
         return (1 << self.label_count) - 1
+
+    def consumed(self, steps) -> int:
+        """Mask of the labels a sequence of steps consumes."""
+        bundles = self.bundles
+        mask = 0
+        for direction, idx in steps:
+            first, labeled = bundles[direction]
+            if idx <= labeled:
+                mask |= 1 << (first + idx - 1)
+        return mask
 
 
 def edge_label(scheme: LabelScheme, at, direction: str, idx: int) -> int | None:
@@ -57,9 +83,8 @@ def edge_label(scheme: LabelScheme, at, direction: str, idx: int) -> int | None:
     if not 1 <= idx <= size:
         raise ValueError(f"edge index {idx} outside bundle of size {size} "
                          f"at {(x, y)}")
-    if direction == HORIZONTAL:
-        return idx if idx <= q + 1 else None
-    return q + 1 + idx if idx <= p + 1 else None
+    first, labeled = scheme.bundles[direction]
+    return first + idx if idx <= labeled else None
 
 
 def is_good(scheme: LabelScheme, path: EulerPath) -> tuple[bool, int]:
@@ -69,16 +94,7 @@ def is_good(scheme: LabelScheme, path: EulerPath) -> tuple[bool, int]:
         raise ValueError(f"path starts at {tuple(path.start)}, "
                          f"scheme base is {tuple(scheme.base)}")
     validate(path)
-    p, q = scheme.base
-    mask = 0
-    for step in path.steps:
-        # Which label an edge carries depends only on its index within the
-        # bundle, so consumption reduces to setting that label's bit.
-        if step.direction == HORIZONTAL:
-            if step.edge_index <= q + 1:
-                mask |= 1 << (step.edge_index - 1)
-        elif step.edge_index <= p + 1:
-            mask |= 1 << (q + step.edge_index)
+    mask = scheme.consumed(path.steps)
     return mask == scheme.full_mask, mask
 
 
@@ -86,15 +102,18 @@ def count_good_enumeration(base, off, *,
                            max_enum: int = DEFAULT_ENUM_BUDGET) -> int:
     """Count good paths by walking every path (each parallel edge taken
     separately) and testing the consumed set at the end."""
-    (p, q), (i, j) = _enum_args(base, off, max_enum)
+    base, (i, j) = _enum_args(base, off, max_enum)
+    scheme = LabelScheme(base)
     # One stack entry per edge taken: the steps still to take, di * w + dj,
     # above the consumed mask's p+q+2 bits.  The vertex reached is
-    # (p + i - di, q + j - dj).
+    # (p + i - di, q + j - dj), whose horizontal bundle has j - dj edges
+    # past the labeled ones and whose vertical bundle has i - di.
     w = j + 1
-    width = p + q + 2
-    full = (1 << width) - 1
-    h_bits = [1 << a for a in range(q + 1)]
-    v_bits = [1 << a for a in range(q + 1, width)]
+    width = scheme.label_count
+    full = scheme.full_mask
+    h_bits, v_bits = ([1 << (first + k) for k in range(labeled)]
+                      for first, labeled in map(scheme.bundles.get,
+                                                (HORIZONTAL, VERTICAL)))
     n = 0
     stack = [(i * w + j) << width]
     pop, push = stack.pop, stack.append

@@ -65,21 +65,24 @@ def validate(path: EulerPath) -> Vertex:
 
     Raises PathValidationError naming the first offending step (1-based).
     """
-    v = _as_vertex(path.start)
-    for m, step in enumerate(path.steps, start=1):
-        if step.direction not in (HORIZONTAL, VERTICAL):
-            raise PathValidationError(
-                f"step {m}: unknown direction {step.direction!r}")
-        size = multiplicity(v, step.direction)
-        if not 1 <= step.edge_index <= size:
-            raise PathValidationError(
-                f"step {m}: edge index {step.edge_index} outside bundle of "
-                f"size {size} at vertex {tuple(v)}")
-        if step.direction == HORIZONTAL:
-            v = Vertex(v.x + 1, v.y)
+    x, y = _as_vertex(path.start)
+    for m, (direction, idx) in enumerate(path.steps, start=1):
+        if direction == HORIZONTAL:
+            size = y + 1
+        elif direction == VERTICAL:
+            size = x + 1
         else:
-            v = Vertex(v.x, v.y + 1)
-    return v
+            raise PathValidationError(
+                f"step {m}: unknown direction {direction!r}")
+        if not 1 <= idx <= size:
+            raise PathValidationError(
+                f"step {m}: edge index {idx} outside bundle of "
+                f"size {size} at vertex {(x, y)}")
+        if direction == HORIZONTAL:
+            x += 1
+        else:
+            y += 1
+    return Vertex(x, y)
 
 
 def _options(v: Vertex, di: int, dj: int) -> Iterator[Step]:

@@ -1,12 +1,16 @@
 """Encoding sequences, decoding, and transport between bases."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from euleradic import (
     DecodeError,
     EncodingSequence,
     EncodingSymbol,
+    EulerPath,
     LabelScheme,
+    PathValidationError,
+    Step,
     Vertex,
     count_good_dp,
     decode,
@@ -15,6 +19,7 @@ from euleradic import (
     format_code,
     is_good,
     parse_code,
+    parse_path,
     transport,
     unmarked_counts,
 )
@@ -30,8 +35,22 @@ def _code(level, *tokens):
 
 
 def _path(base, steps):
-    from euleradic import EulerPath, Step
     return EulerPath(Vertex(*base), tuple(Step(d, k) for d, k in steps))
+
+
+def _symbol_recursion(code):
+    # (h, v) after each prefix of the code: a marked symbol raises both
+    # counts by one, an unmarked one only the opposite direction's count.
+    h = v = 0
+    yield h, v
+    for sym in code.symbols:
+        if sym.kind == "s":
+            h, v = h + 1, v + 1
+        elif sym.kind == "h":
+            v += 1
+        else:
+            h += 1
+        yield h, v
 
 
 def test_encode_examples():
@@ -58,23 +77,23 @@ def test_unmarked_counts_examples():
 
 
 def test_unmarked_counts_follow_step_recursion():
-    # marked step raises both counters by one; an unmarked step raises
-    # only the opposite direction's counter
     for base in [(0, 0), (1, 0), (1, 1), (2, 1)]:
         scheme = _scheme(*base)
         for off in [(2, 2), (3, 1), (1, 3)]:
             for path in enumerate_paths(base, off):
-                code = encode(scheme, path)
-                h, v = unmarked_counts(scheme, path, 0)
-                assert (h, v) == (0, 0)
-                for m, sym in enumerate(code.symbols, start=1):
-                    if sym.kind == "s":
-                        h, v = h + 1, v + 1
-                    elif sym.kind == "h":
-                        v = v + 1
-                    else:
-                        h = h + 1
-                    assert unmarked_counts(scheme, path, m) == (h, v)
+                counts = _symbol_recursion(encode(scheme, path))
+                for m, hv in enumerate(counts):
+                    assert unmarked_counts(scheme, path, m) == hv
+
+
+def test_unmarked_counts_rejects_invalid_paths():
+    s = _scheme(0, 0)
+    bad = parse_path("(0,0):H5")
+    with pytest.raises(PathValidationError):
+        encode(s, bad)
+    for m in (0, 1):
+        with pytest.raises(PathValidationError):
+            unmarked_counts(s, bad, m)
 
 
 def test_decode_inverts_encode():
@@ -153,3 +172,90 @@ def test_code_text_round_trip():
 def test_parse_code_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         parse_code(bad)
+
+
+# Property tests on random bases with p, q <= 4 and random valid paths.
+
+@st.composite
+def based_paths(draw, max_steps=30):
+    """A scheme and a valid path of up to max_steps steps from its base."""
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    x, y = p, q
+    steps = []
+    for horizontal in draw(st.lists(st.booleans(), max_size=max_steps)):
+        if horizontal:
+            steps.append(Step("H", draw(st.integers(1, y + 1))))
+            x += 1
+        else:
+            steps.append(Step("V", draw(st.integers(1, x + 1))))
+            y += 1
+    return _scheme(p, q), EulerPath(Vertex(p, q), tuple(steps))
+
+
+@st.composite
+def deep_good_paths(draw):
+    """A scheme, a good path from its base whose endpoint (i, j) has
+    i, j >= p+q+2, and another base of the same level."""
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = p + q
+    i = draw(st.integers(n + 2, n + 6))
+    j = draw(st.integers(n + 2, n + 6))
+    directions = draw(st.permutations("H" * (i - p) + "V" * (j - q)))
+    # Which H (V) step, counted in order, takes each labeled edge.
+    h_label = dict(zip(draw(st.permutations(range(i - p))), range(1, q + 2)))
+    v_label = dict(zip(draw(st.permutations(range(j - q))), range(1, p + 2)))
+    x, y = p, q
+    steps = []
+    for d in directions:
+        if d == "H":
+            k = h_label.get(x - p) or draw(st.integers(1, y + 1))
+            x += 1
+        else:
+            k = v_label.get(y - q) or draw(st.integers(1, x + 1))
+            y += 1
+        steps.append(Step(d, k))
+    other = draw(st.integers(0, n))
+    return _scheme(p, q), EulerPath(Vertex(p, q), tuple(steps)), _scheme(other, n - other)
+
+
+def _labels_by_rule(p, q, path):
+    # Horizontal edge k <= q+1 carries s_k, vertical edge k <= p+1
+    # carries s_{q+1+k}; the mask has bit a-1 for each label s_a taken.
+    mask = 0
+    for step in path.steps:
+        if step.direction == "H" and step.edge_index <= q + 1:
+            mask |= 1 << (step.edge_index - 1)
+        elif step.direction == "V" and step.edge_index <= p + 1:
+            mask |= 1 << (q + step.edge_index)
+    return mask
+
+
+@given(based_paths())
+def test_decode_inverts_encode_on_random_paths(case):
+    scheme, path = case
+    assert decode(scheme, encode(scheme, path)) == path
+
+
+@given(based_paths())
+def test_is_good_mask_is_the_label_rule(case):
+    scheme, path = case
+    p, q = scheme.base
+    mask = _labels_by_rule(p, q, path)
+    assert is_good(scheme, path) == (mask == (1 << (p + q + 2)) - 1, mask)
+
+
+@given(based_paths())
+def test_unmarked_counts_follow_the_symbol_recursion(case):
+    scheme, path = case
+    for m, hv in enumerate(_symbol_recursion(encode(scheme, path))):
+        assert unmarked_counts(scheme, path, m) == hv
+
+
+@given(deep_good_paths())
+def test_transport_of_deep_good_paths_is_invertible(case):
+    src, path, dst = case
+    assert is_good(src, path)[0]
+    image = transport(src, dst, path)
+    assert image.start == dst.base and image.end() == path.end()
+    assert is_good(dst, image)[0]
+    assert transport(dst, src, image) == path

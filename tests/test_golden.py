@@ -1,11 +1,15 @@
 """Byte-exact CLI output: the README examples, and digests of two long
-outputs whose text must not change when the code under them does."""
+outputs whose text must not change when the code under them does.  The
+same holds for the text of the encode and transport results on the
+benchmark's walk cells."""
 
 import hashlib
 
 import pytest
 
 import euleradic.cli as cli
+from euleradic import (LabelScheme, encode, enumerate_paths, format_code,
+                       format_path, transport)
 
 
 README_EXAMPLES = [
@@ -48,3 +52,38 @@ def test_output_digest(capsys, argv, digest):
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# The benchmark's walk cells (base, end); each is run as given and mirrored.
+WALK_CELLS = [
+    ((0, 0), (1, 3)), ((0, 1), (2, 2)), ((0, 1), (1, 4)), ((1, 1), (2, 3)),
+    ((0, 0), (1, 4)), ((0, 0), (2, 2)), ((0, 1), (6, 1)), ((0, 1), (1, 5)),
+    ((0, 0), (1, 5)), ((0, 1), (2, 3)), ((0, 2), (2, 4)), ((1, 1), (3, 3)),
+    ((0, 1), (1, 7)), ((0, 1), (4, 2)), ((1, 1), (2, 5)), ((0, 1), (2, 4)),
+    ((0, 2), (2, 5)), ((0, 1), (3, 3)), ((0, 0), (1, 8)), ((0, 0), (3, 3)),
+    ((0, 2), (3, 4)), ((0, 0), (2, 5)),
+]
+
+# SHA-256 of the lines below, taken before the label map moved into
+# LabelScheme: 64,218 lines.
+LABEL_DIGEST = "144f4e472e385740c1146fcdd18e352fc3d9ee16a093260e33f0c54cf060b976"
+
+
+def _label_lines():
+    # Every path of every cell: its code at its own base, then its
+    # transport to each other base of the level.
+    for (p, q), (x, y) in WALK_CELLS + [((q, p), (y, x)) for (p, q), (x, y) in WALK_CELLS]:
+        level = p + q
+        src = LabelScheme((p, q))
+        others = [LabelScheme((b, level - b)) for b in range(level + 1) if b != p]
+        for path in enumerate_paths((p, q), (x - p, y - q)):
+            yield format_code(encode(src, path))
+            for dst in others:
+                yield format_path(transport(src, dst, path))
+
+
+def test_encode_and_transport_digest():
+    digest = hashlib.sha256()
+    for line in _label_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == LABEL_DIGEST

@@ -92,10 +92,19 @@ def test_multiplicity():
 
 def test_validate_names_offending_step():
     assert validate(_p("(0,0):H1,V1")) == Vertex(1, 1)
+    assert validate(_p("(2,1):V3,H3")) == Vertex(3, 2)
     with pytest.raises(PathValidationError, match="step 2"):
         validate(_p("(0,0):H1,V3"))
     with pytest.raises(PathValidationError, match="step 1"):
         validate(EulerPath(Vertex(0, 0), (Step("X", 1),)))
+    # The message names the vertex before the offending step.
+    with pytest.raises(PathValidationError) as err:
+        validate(_p("(1,0):V1,H3"))
+    assert str(err.value) == ("step 2: edge index 3 outside bundle of size 2 "
+                              "at vertex (1, 1)")
+    with pytest.raises(PathValidationError) as err:
+        validate(EulerPath(Vertex(0, 0), (Step("H", 1), Step("D", 1))))
+    assert str(err.value) == "step 2: unknown direction 'D'"
 
 
 def test_end_bookkeeping():
