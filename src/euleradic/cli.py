@@ -14,17 +14,16 @@ import os
 import sys
 from fractions import Fraction
 
-from .adic import compare, cylinder_measure, maximal_path, orbit, successor
+from . import checks
+from .checks import grid, level
+from .adic import orbit
 from .encoding import encode, format_code, parse_code, decode, transport
-from .errors import BudgetError, DecodeError, MaximalPathError, PathValidationError
-from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex, _count,
-                       classical_eulerian_oracle, closed_form, closed_form_sym,
-                       coefficient_identity_check, comtet_a00, dim_between,
-                       recurrence_table)
-from .goodpaths import (LabelScheme, bad_path_bound, count_good_dp,
-                        count_good_enumeration, good_count_table, is_good)
-from .paths import DEFAULT_ENUM_BUDGET, enumerate_paths, format_path, parse_path
-from .ratios import check_monotonicity, convergence_report
+from .errors import BudgetError, DecodeError, PathValidationError
+from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex, _count, closed_form,
+                       closed_form_sym, recurrence_table)
+from .goodpaths import LabelScheme, count_good_dp, count_good_enumeration
+from .paths import DEFAULT_ENUM_BUDGET, format_path, parse_path
+from .ratios import convergence_report
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -134,213 +133,78 @@ def _cmd_decode(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _suite_recurrence(args):
-    cases = []
-    for p in range(args.pmax + 1):
-        for q in range(args.qmax + 1):
-            table = recurrence_table((p, q), args.imax, args.jmax,
-                                     max_cells=args.max_cells)
-            bad = [(i, j)
-                   for i in range(args.imax + 1)
-                   for j in range(args.jmax + 1)
-                   if closed_form((p, q), (i, j)) != table[i, j]]
-            cases.append((f"closed form equals recurrence at base ({p},{q}), "
-                          f"window {args.imax}x{args.jmax}",
-                          not bad, f"first mismatch at {bad[0]}" if bad else ""))
-    return cases, []
-
-
-def _suite_closedform(args):
-    window = [(i, j) for i in range(args.imax + 1) for j in range(args.jmax + 1)]
-    bad_sym = [(p, q, off) for p in range(args.pmax + 1) for q in range(args.qmax + 1)
-               for off in window
-               if closed_form((p, q), off) != closed_form_sym((p, q), off)]
-    cases = [("symmetric variant equals primary form on the window",
-              not bad_sym, f"first mismatch {bad_sym[0]}" if bad_sym else "")]
-    bad_o = [off for off in window if comtet_a00(off) != closed_form((0, 0), off)]
-    cases.append(("origin form equals primary form at base (0,0)",
-                  not bad_o, f"first mismatch {bad_o[0]}" if bad_o else ""))
-    bad_cl = [(i, j) for (i, j) in window
-              if 1 <= i + j <= 7 and comtet_a00((i, j))
-              != classical_eulerian_oracle(i + j + 1, i)]
-    cases.append(("origin counts match descent-counting oracle (n <= 8)",
-                  not bad_cl, f"first mismatch {bad_cl[0]}" if bad_cl else ""))
-    return cases, []
-
-
-def _suite_monotonicity(args):
-    cases = []
-    for p in range(args.pmax + 1):
-        for q in range(1, args.qmax + 1):
-            bad = check_monotonicity((p, q), args.imax, args.jmax)
-            cases.append((f"ratio inequalities hold at base ({p},{q}), "
-                          f"window {args.imax}x{args.jmax}",
-                          not bad, f"first violation {bad[0]}" if bad else ""))
-    return cases, []
-
-
-def _suite_identity(args):
-    cases = []
-    for p in range(args.pmax + 1):
-        bad = [(q, i) for q in range(-15, 16) for i in range(1, args.imax + 1)
-               if (lambda s: s[0] != s[1])(coefficient_identity_check(p, q, i))]
-        cases.append((f"coefficient identity at p={p}, i <= {args.imax}, "
-                      f"q in [-15,15]",
-                      not bad, f"first mismatch {bad[0]}" if bad else ""))
-    return cases, []
-
-
-def _suite_goodcount(args):
-    cases = []
-    bad_eq = []
-    for p in range(args.pmax + 1):
-        for q in range(args.qmax + 1):
-            for s in range(args.summax + 1):
-                for i in range(s + 1):
-                    off = (i, s - i)
-                    if closed_form((p, q), off) > args.max_enum:
-                        continue
-                    if (count_good_dp((p, q), off)
-                            != count_good_enumeration((p, q), off,
-                                                      max_enum=args.max_enum)):
-                        bad_eq.append((p, q, off))
-    cases.append((f"DP count equals exhaustive count (p,q <= {args.pmax},"
-                  f"{args.qmax}; i+j <= {args.summax})",
-                  not bad_eq, f"first mismatch {bad_eq[0]}" if bad_eq else ""))
-    bad_ne = []
-    for p in range(args.pmax + 1):
-        for q in range(args.qmax + 1):
-            for i in range(6):
-                for j in range(6):
-                    positive = count_good_dp((p, q), (i, j)) > 0
-                    if positive != (i >= q + 1 and j >= p + 1):
-                        bad_ne.append((p, q, i, j))
-    cases.append(("good paths exist exactly when i >= q+1 and j >= p+1",
-                  not bad_ne, f"first mismatch {bad_ne[0]}" if bad_ne else ""))
-    bad_bd = []
-    for p in range(1, args.pmax + 1):
-        for q in range(1, args.qmax + 1):
-            g = good_count_table((p, q), 8, 8)
-            for i in range(9):
-                for j in range(9):
-                    a = closed_form((p, q), (i, j))
-                    if a - g[i][j] > bad_path_bound((p, q), (i, j)):
-                        bad_bd.append((p, q, i, j))
-    cases.append(("non-good paths within the two-family bound (p,q >= 1)",
-                  not bad_bd, f"first violation {bad_bd[0]}" if bad_bd else ""))
-    return cases, []
-
-
-def _suite_bijection(args):
-    cases = []
-    infos = []
-    for n in range(args.levels + 1):
-        bases = [(p, n - p) for p in range(n + 1)]
-        ok = True
-        detail = ""
-        for src in bases:
-            scheme_src = LabelScheme(Vertex(*src))
-            for i in range(n + 2, args.epmax + 1):
-                for j in range(n + 2, args.epmax + 1):
-                    off_src = (i - src[0], j - src[1])
-                    if closed_form(src, off_src) > args.max_enum:
-                        continue
-                    goods = [x for x in enumerate_paths(src, off_src,
-                                                        max_enum=args.max_enum)
-                             if is_good(scheme_src, x)[0]]
-                    for dst in bases:
-                        scheme_dst = LabelScheme(Vertex(*dst))
-                        seen = set()
-                        for x in goods:
-                            y = transport(scheme_src, scheme_dst, x)
-                            if y.end() != Vertex(i, j) or y in seen or \
-                               not is_good(scheme_dst, y)[0] or \
-                               transport(scheme_dst, scheme_src, y) != x:
-                                ok = False
-                                detail = (f"failure at {src}->{dst}, "
-                                          f"endpoint ({i},{j})")
-                                break
-                            seen.add(y)
-                        expected = count_good_dp(dst, (i - dst[0], j - dst[1]))
-                        if ok and len(seen) != expected:
-                            ok = False
-                            detail = (f"image size {len(seen)} != {expected} at "
-                                      f"{src}->{dst}, endpoint ({i},{j})")
-                if not ok:
-                    break
-            if not ok:
-                break
-        cases.append((f"transport is a bijection between good-path sets at "
-                      f"level {n}, endpoints <= ({args.epmax},{args.epmax})",
-                      ok, detail))
-    # Below-threshold report: counts at endpoints with i or j = n+1 are not
-    # covered by the bijection guarantee; report observed equality only.
-    for n in range(1, args.levels + 1):
-        bases = [(p, n - p) for p in range(n + 1)]
+def _boundary_counts(a):
+    # Endpoints with i or j = n+1 lie below the bijection's threshold;
+    # whether their good counts agree is reported, not asserted.
+    for n in range(1, a.levels + 1):
         for ep in [(n + 1, n + 1), (n + 1, n + 2), (n + 2, n + 1)]:
-            counts = [count_good_dp(b, (ep[0] - b[0], ep[1] - b[1])) for b in bases]
-            verdict = "equal" if len(set(counts)) == 1 else "UNEQUAL"
-            infos.append(f"boundary endpoint {ep} at level {n}: "
-                         f"G values {counts} {verdict} (not asserted)")
-    return cases, infos
+            counts = [count_good_dp(b, (ep[0] - b[0], ep[1] - b[1])) for b in level(n)]
+            yield (f"boundary endpoint {ep} at level {n}: G values {counts} "
+                   f"{'equal' if len(set(counts)) == 1 else 'UNEQUAL'} (not asserted)")
 
 
-def _suite_orbit(args):
-    cases = []
-    for n in range(args.levels + 1):
-        ok = True
-        detail = ""
-        for x in range(n + 1):
-            v = (x, n - x)
-            paths = list(orbit(v, max_enum=args.max_enum))
-            expected = dim_between(ORIGIN, v)
-            increasing = all(compare(a, b) < 0 for a, b in zip(paths, paths[1:]))
-            same_set = set(paths) == set(enumerate_paths(ORIGIN, v,
-                                                         max_enum=args.max_enum))
-            if not (len(paths) == expected and increasing and same_set):
-                ok = False
-                detail = f"orbit defect at vertex {v}"
-                break
-            try:
-                successor(maximal_path(v))
-                ok, detail = False, f"successor of maximal path at {v} did not fail"
-                break
-            except MaximalPathError:
-                pass
-        cases.append((f"orbits at level {n} are complete, ordered, and "
-                      f"stop at the maximal path", ok, detail))
-    total_ok = True
-    for n in range(args.levels + 2):
-        total = sum(dim_between(ORIGIN, (x, n - x)) * cylinder_measure(n)
-                    for x in range(n + 1))
-        if total != 1:
-            total_ok = False
-    cases.append((f"cylinder measures sum to 1 on each level <= "
-                  f"{args.levels + 1}", total_ok, ""))
-    return cases, []
-
-
+# Each suite: its default window, its cases for a window as
+# (name, (bad, checked)) from euleradic.checks, and its INFO lines.
 _SUITES = {
-    "recurrence": _suite_recurrence,
-    "closedform": _suite_closedform,
-    "monotonicity": _suite_monotonicity,
-    "identity": _suite_identity,
-    "goodcount": _suite_goodcount,
-    "bijection": _suite_bijection,
-    "orbit": _suite_orbit,
+    "recurrence": (dict(pmax=2, qmax=2, imax=8, jmax=8), lambda a: [
+        (f"closed form equals recurrence at base ({p},{q}), window {a.imax}x{a.jmax}",
+         checks.closed_form_vs_recurrence([(p, q)], grid(a.imax, a.jmax), closed_form,
+                                          max_cells=a.max_cells))
+        for p, q in grid(a.pmax, a.qmax)]),
+    "closedform": (dict(pmax=3, qmax=3, imax=6, jmax=6), lambda a: [
+        ("symmetric variant equals primary form on the window", checks.forms_agree(
+            grid(a.pmax, a.qmax), grid(a.imax, a.jmax), closed_form_sym, closed_form)),
+        ("origin form equals primary form at base (0,0)", checks.forms_agree(
+            [ORIGIN], grid(a.imax, a.jmax), checks.origin_form, closed_form)),
+        ("origin counts match descent-counting oracle (n <= 8)",
+         checks.origin_vs_descent_oracle(
+             [(i, j) for i, j in grid(a.imax, a.jmax) if 1 <= i + j <= 7]))]),
+    "monotonicity": (dict(pmax=2, qmax=3, imax=10, jmax=10), lambda a: [
+        (f"ratio inequalities hold at base ({p},{q}), window {a.imax}x{a.jmax}",
+         checks.ratio_monotonicity([(p, q)], a.imax, a.jmax))
+        for p in range(a.pmax + 1) for q in range(1, a.qmax + 1)]),
+    "identity": (dict(pmax=3, imax=8), lambda a: [
+        (f"coefficient identity at p={p}, i <= {a.imax}, q in [-15,15]",
+         checks.coefficient_identity([p], range(-15, 16), a.imax))
+        for p in range(a.pmax + 1)]),
+    "goodcount": (dict(pmax=2, qmax=2, summax=6), lambda a: [
+        (f"DP count equals exhaustive count (p,q <= {a.pmax},{a.qmax}; i+j <= {a.summax})",
+         checks.sieve_vs_exhaustive(grid(a.pmax, a.qmax), [
+             (i, s - i) for s in range(a.summax + 1) for i in range(s + 1)],
+             max_enum=a.max_enum)),
+        ("good paths exist exactly when i >= q+1 and j >= p+1",
+         checks.nonemptiness_threshold(grid(a.pmax, a.qmax), grid(5, 5))),
+        ("non-good paths within the two-family bound (p,q >= 1)",
+         checks.bad_paths_bounded([(p, q) for p, q in grid(a.pmax, a.qmax) if p and q],
+                                  8, 8))]),
+    "bijection": (dict(levels=2, epmax=4), lambda a: [
+        (f"transport is a bijection between good-path sets at level {n}, "
+         f"endpoints <= ({a.epmax},{a.epmax})", checks.transport_bijection(
+             level(n), [(i, j) for i in range(n + 2, a.epmax + 1)
+                        for j in range(n + 2, a.epmax + 1)], max_paths=a.max_enum))
+        for n in range(a.levels + 1)], _boundary_counts),
+    "orbit": (dict(levels=5), lambda a: [
+        (f"orbits at level {n} are complete, ordered, and stop at the maximal path",
+         checks.orbits(level(n), max_enum=a.max_enum)) for n in range(a.levels + 1)] + [
+        (f"cylinder measures sum to 1 on each level <= {a.levels + 1}",
+         checks.level_measures(range(a.levels + 2)))]),
 }
 
 
 def _cmd_verify(args) -> int:
-    cases, infos = _SUITES[args.suite](args)
-    for name, ok, detail in cases:
-        if ok:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {detail}")
+    defaults, suite, *infos = _SUITES[args.suite]
+    window = argparse.Namespace(**{**defaults, **{
+        key: value for key, value in vars(args).items() if value is not None}})
+    cases = [(name, result[0], checks.problems(result)) for name, result in suite(window)]
+    if not cases:
+        raise ValueError(f"the window holds no case of the {args.suite} suite")
+    infos = [line for info in infos for line in info(window)]
+    failed = sum(bool(problems) for *_, problems in cases)
+    for name, bad, problems in cases:
+        problem = f"first failure {bad[0]}" if bad else "".join(problems)
+        print(f"FAIL {name}: {problem}" if problem else f"PASS {name}")
     for line in infos:
         print(f"INFO {line}")
-    failed = sum(1 for _, ok, _ in cases if not ok)
     print(f"passed {len(cases) - failed} of {len(cases)} cases")
     return 1 if failed else 0
 
@@ -366,13 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named invariant suite")
     v.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    v.add_argument("--pmax", type=int, default=None)
-    v.add_argument("--qmax", type=int, default=None)
-    v.add_argument("--imax", type=int, default=None)
-    v.add_argument("--jmax", type=int, default=None)
-    v.add_argument("--summax", type=int, default=None)
-    v.add_argument("--levels", type=int, default=None)
-    v.add_argument("--epmax", type=int, default=None)
+    for window in ("pmax", "qmax", "imax", "jmax", "summax", "levels", "epmax"):
+        v.add_argument(f"--{window}", type=int)    # default: the suite's
     v.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BUDGET)
     v.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)
     v.set_defaults(func=_cmd_verify)
@@ -419,24 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VERIFY_DEFAULTS = {
-    "recurrence": dict(pmax=2, qmax=2, imax=8, jmax=8),
-    "closedform": dict(pmax=3, qmax=3, imax=6, jmax=6),
-    "monotonicity": dict(pmax=2, qmax=3, imax=10, jmax=10),
-    "identity": dict(pmax=3, imax=8),
-    "goodcount": dict(pmax=2, qmax=2, summax=6),
-    "bijection": dict(levels=2, epmax=4),
-    "orbit": dict(levels=5),
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        for key, value in _VERIFY_DEFAULTS[args.suite].items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
     try:
         rc = args.func(args)
         sys.stdout.flush()
@@ -450,10 +294,7 @@ def main(argv=None) -> int:
         print("error: output closed before it was all written (broken pipe)",
               file=sys.stderr)
         return 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, PathValidationError, DecodeError) as exc:
+    except (BudgetError, ValueError, PathValidationError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -167,8 +167,8 @@ def format_code(code: EncodingSequence) -> str:
     return f"n={code.base_level};{body}"
 
 
-_CODE_RE = re.compile(r"n=(\d+);(.*)", re.DOTALL)
-_SYMBOL_RE = re.compile(r"([shv])([1-9]\d*)")
+_CODE_RE = re.compile(r"n=(0|[1-9][0-9]*);(.*)", re.DOTALL)
+_SYMBOL_RE = re.compile(r"([shv])([1-9][0-9]*)")
 
 
 def parse_code(text: str) -> EncodingSequence:

@@ -176,10 +176,12 @@ def count_good_dp(base, off) -> int:
     labels are the paths from the shifted base (p-b, q-a).  The name is
     kept from the consumed-label DP this replaced because it is public API
     (and a benchmark metric name); it must equal count_good_enumeration
-    wherever both run.
+    wherever both run.  Below the threshold, i <= q or j <= p, it is 0.
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
+    if i <= q or j <= p:
+        return 0
     return sum(coeff * _count(pb, qa, i, j)
                for coeff, pb, qa in _sieve(p, q, i, j))
 

@@ -179,8 +179,9 @@ def path_sort_key(path: EulerPath):
                  for s in path.steps)
 
 
-_PATH_RE = re.compile(r"\((\d+),(\d+)\):(.*)", re.DOTALL)
-_STEP_RE = re.compile(r"([HV])([1-9]\d*)")
+# ASCII digits without leading zeros: numbers only as format_path writes them.
+_PATH_RE = re.compile(r"\((0|[1-9][0-9]*),(0|[1-9][0-9]*)\):(.*)", re.DOTALL)
+_STEP_RE = re.compile(r"([HV])([1-9][0-9]*)")
 
 
 def format_path(path: EulerPath) -> str:

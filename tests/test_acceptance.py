@@ -16,35 +16,21 @@ from math import factorial
 from euleradic import (
     BudgetError,
     LabelScheme,
-    MaximalPathError,
-    ORIGIN,
     Vertex,
-    bad_path_bound,
-    check_monotonicity,
-    classical_eulerian_oracle,
     closed_form,
     closed_form_sym,
-    coefficient_identity_check,
-    compare,
     comtet_a00,
     convergence_report,
     count_good_dp,
-    count_good_enumeration,
     count_paths_enumeration,
-    cylinder_measure,
     decode,
-    dim_between,
     encode,
     enumerate_paths,
     good_count_table,
-    good_fraction,
-    is_good,
-    maximal_path,
-    orbit,
     recurrence_table,
-    successor,
     unmarked_counts,
 )
+from euleradic import checks
 
 # Enumeration windows below contain up to ~2*10^7 paths in a single cell.
 WALK_BUDGET = 20_000_000
@@ -59,17 +45,9 @@ def _report(num, problems, text):
 def test_criterion_01_closed_forms_equal_recurrence():
     t0 = time.perf_counter()
     problems = []
-    for p in range(5):
-        for q in range(5):
-            table = recurrence_table((p, q), 12, 12)
-            for i in range(13):
-                for j in range(13):
-                    if (i, j) == (0, 0):
-                        continue
-                    a = table[i, j]
-                    if closed_form((p, q), (i, j)) != a \
-                            or closed_form_sym((p, q), (i, j)) != a:
-                        problems.append((p, q, i, j))
+    for form in (closed_form, closed_form_sym):
+        problems += checks.problems(checks.closed_form_vs_recurrence(
+            checks.grid(4, 4), [c for c in checks.grid(12, 12) if c != (0, 0)], form))
     elapsed = time.perf_counter() - t0
     if elapsed >= 10:
         problems.append(f"took {elapsed:.1f}s, bound 10s")
@@ -100,12 +78,9 @@ def test_criterion_02_enumeration_matches_closed_form():
 
 
 def test_criterion_03_descent_oracle_and_level_sums():
-    problems = []
+    problems = checks.problems(checks.origin_vs_descent_oracle(
+        [(i, s - i) for s in range(1, 9) for i in range(s + 1)]))
     for s in range(9):
-        for i in range(s + 1):
-            j = s - i
-            if s >= 1 and comtet_a00((i, j)) != classical_eulerian_oracle(s + 1, i):
-                problems.append(("descent", i, j))
         if sum(comtet_a00((i, s - i)) for i in range(s + 1)) != factorial(s + 1):
             problems.append(("level sum", s))
     _report(3, problems, "origin counts match the descent oracle (i+j <= 8) "
@@ -113,23 +88,16 @@ def test_criterion_03_descent_oracle_and_level_sums():
 
 
 def test_criterion_04_coefficient_identity():
-    problems = []
-    for p in range(5):
-        for i in range(1, 11):
-            for q in range(-15, 16):
-                lhs, rhs = coefficient_identity_check(p, q, i)
-                if lhs != rhs:
-                    problems.append((p, q, i))
+    problems = checks.problems(
+        checks.coefficient_identity(range(5), range(-15, 16), 10))
     _report(4, problems, "coefficient identity holds for p <= 4, i <= 10, "
                          "all 31 integer q in [-15,15]")
 
 
 def test_criterion_05_monotonicity():
     t0 = time.perf_counter()
-    problems = []
-    for p in range(4):
-        for q in range(1, 5):
-            problems.extend((p, q, *v) for v in check_monotonicity((p, q), 15, 15))
+    problems = checks.problems(checks.ratio_monotonicity(
+        [(p, q) for p in range(4) for q in range(1, 5)], 15, 15))
     elapsed = time.perf_counter() - t0
     if elapsed >= 10:
         problems.append(f"took {elapsed:.1f}s, bound 10s")
@@ -155,28 +123,16 @@ def test_criterion_06_directional_limit():
 
 
 def test_criterion_07_good_path_counts():
-    problems = []
-    for p in range(3):
-        for q in range(3):
-            for s in range(9):
-                for i in range(s + 1):
-                    off = (i, s - i)
-                    if count_good_dp((p, q), off) != count_good_enumeration(
-                            (p, q), off, max_enum=WALK_BUDGET):
-                        problems.append(("dp vs enum", p, q, off))
-            for i in range(7):
-                for j in range(7):
-                    positive = count_good_dp((p, q), (i, j)) > 0
-                    if positive != (i >= q + 1 and j >= p + 1):
-                        problems.append(("nonemptiness", p, q, i, j))
-    for p in range(1, 4):
-        for q in range(1, 4):
-            table = good_count_table((p, q), 12, 12)
-            for i in range(13):
-                for j in range(13):
-                    a = closed_form((p, q), (i, j))
-                    if a - table[i][j] > bad_path_bound((p, q), (i, j)):
-                        problems.append(("bound", p, q, i, j))
+    bases = checks.grid(2, 2)
+    diagonals = [(i, s - i) for s in range(9) for i in range(s + 1)]
+    bad, checked = checks.sieve_vs_exhaustive(bases, diagonals, max_enum=WALK_BUDGET)
+    if checked != len(bases) * len(diagonals):    # a cell over WALK_BUDGET was skipped
+        bad = [*bad, f"checked {checked} of {len(bases) * len(diagonals)} cells"]
+    problems = (
+        bad
+        + checks.problems(checks.nonemptiness_threshold(bases, checks.grid(6, 6)))
+        + checks.problems(checks.bad_paths_bounded(
+            [(p, q) for p in range(1, 4) for q in range(1, 4)], 12, 12)))
     _report(7, problems, "good-path DP equals enumeration (p,q <= 2, "
                          "i+j <= 8), nonemptiness threshold, and bad-path "
                          "bound (p,q <= 3, i,j <= 12)")
@@ -205,38 +161,11 @@ def test_criterion_09_transport_bijection():
     # the count equalities below cover the whole window exactly
     cap = 50_000
     for n in range(4):
-        bases = [(p, n - p) for p in range(n + 1)]
-        schemes = {b: LabelScheme(Vertex(*b)) for b in bases}
-        for src in bases:
-            for i in range(n + 2, 8):
-                for j in range(n + 2, 8):
-                    off = (i - src[0], j - src[1])
-                    if count_good_dp(src, off) > cap \
-                            or closed_form(src, off) > 1_000_000:
-                        continue
-                    goods = [x for x in enumerate_paths(src, off,
-                                                        max_enum=WALK_BUDGET)
-                             if is_good(schemes[src], x)[0]]
-                    codes = [encode(schemes[src], x) for x in goods]
-                    for x, code in zip(goods, codes):
-                        if decode(schemes[src], code) != x:
-                            problems.append(("round trip", src, (i, j)))
-                    for dst in bases:
-                        seen = set()
-                        for x, code in zip(goods, codes):
-                            y = decode(schemes[dst], code)
-                            if y.end() != Vertex(i, j):
-                                problems.append(("endpoint", src, dst, (i, j)))
-                            elif not is_good(schemes[dst], y)[0]:
-                                problems.append(("not good", src, dst, (i, j)))
-                            elif encode(schemes[dst], y) != code:
-                                problems.append(("not inverse", src, dst, (i, j)))
-                            seen.add(y)
-                        if len(seen) != count_good_dp(
-                                dst, (i - dst[0], j - dst[1])):
-                            problems.append(("image size", src, dst, (i, j)))
-                    if problems:
-                        _report(9, problems, "transport bijection")
+        problems += checks.problems(checks.transport_bijection(
+            checks.level(n), [(i, j) for i in range(n + 2, 8) for j in range(n + 2, 8)],
+            max_paths=1_000_000, max_good=cap))
+        if problems:
+            _report(9, problems, "transport bijection")
     # cross-base good-count equality on the full stated windows
     for n, span in [(0, 7), (1, 7), (2, 7), (3, 7), (0, 40), (1, 40),
                     (2, 40), (3, 40), (4, 40)]:
@@ -316,27 +245,9 @@ def test_criterion_11_dimension_ratio_convergence():
 
 
 def test_criterion_12_adic_orbits_and_measure():
-    problems = []
-    for n in range(7):
-        for x in range(n + 1):
-            v = (x, n - x)
-            paths = list(orbit(v))
-            if len(paths) != dim_between(ORIGIN, v):
-                problems.append(("orbit length", v))
-            if any(compare(a, b) != -1 for a, b in zip(paths, paths[1:])):
-                problems.append(("orbit order", v))
-            if set(paths) != set(enumerate_paths(ORIGIN, v)):
-                problems.append(("orbit coverage", v))
-            try:
-                successor(maximal_path(v))
-                problems.append(("maximal has successor", v))
-            except MaximalPathError:
-                pass
-    for n in range(9):
-        total = sum(dim_between(ORIGIN, (x, n - x)) * cylinder_measure(n)
-                    for x in range(n + 1))
-        if total != 1:
-            problems.append(("measure normalization", n))
+    problems = (
+        checks.problems(checks.orbits([v for n in range(7) for v in checks.level(n)]))
+        + checks.problems(checks.level_measures(range(9))))
     _report(12, problems, "orbits at level <= 6 are complete and ordered, "
                           "successor fails only at the maximal path, and "
                           "level measures sum to 1 for n <= 8")

@@ -1,0 +1,120 @@
+"""The shared invariant checks report a planted defect.
+
+`euleradic verify` and the acceptance criteria both run these checks, so
+a check that reports nothing would blind both.  Each case makes one
+library function that a check reads wrong at one cell and asserts that
+the check names that cell, after a clean run on the same window.
+"""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from euleradic import ORIGIN, checks, closed_form
+
+
+def _at(base, off):
+    return lambda b, o, *_: (tuple(b), tuple(o)) == (base, off)
+
+
+def _wrong_at(fn, hit, spoil):
+    # fn, except that spoil(result) is returned where hit(*args) holds.
+    def planted(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return spoil(result) if hit(*args) else result
+    return planted
+
+
+def _spoil_table(table):
+    table.cells[2][3] += 1
+    return table
+
+
+def _drop_last(paths):
+    return iter(list(paths)[:-1])
+
+
+# check name, call, (name read by the check, where it is wrong, how),
+# cells checked, the planted cell
+CASES = [
+    ("forms_agree",
+     lambda: checks.forms_agree([ORIGIN], checks.grid(3, 3), checks.origin_form,
+                                closed_form),
+     ("comtet_a00", lambda off: tuple(off) == (2, 1), lambda n: n + 1),
+     16, (0, 0, 2, 1)),
+    ("closed_form_vs_recurrence",
+     lambda: checks.closed_form_vs_recurrence(checks.grid(1, 1), checks.grid(3, 3),
+                                              closed_form),
+     ("recurrence_table", lambda base, *_: tuple(base) == (1, 1), _spoil_table),
+     64, (1, 1, 2, 3)),
+    ("origin_vs_descent_oracle",
+     lambda: checks.origin_vs_descent_oracle(
+         [(i, s - i) for s in range(1, 5) for i in range(s + 1)]),
+     ("classical_eulerian_oracle", lambda n, k: (n, k) == (4, 1), lambda n: n + 1),
+     14, (0, 0, 1, 2)),
+    ("coefficient_identity",
+     lambda: checks.coefficient_identity(range(3), range(-5, 6), 4),
+     ("coefficient_identity_check", lambda p, q, i: (p, q, i) == (1, -3, 2),
+      lambda sides: (sides[0] + 1, sides[1])),
+     132, (1, -3, 2)),
+    ("ratio_monotonicity",
+     lambda: checks.ratio_monotonicity([(0, 1), (1, 2)], 4, 4),
+     ("check_monotonicity", lambda base, *_: tuple(base) == (1, 2),
+      lambda found: found + [(2, 3, "planted")]),
+     50, (1, 2, 2, 3, "planted")),
+    ("sieve_vs_exhaustive",
+     lambda: checks.sieve_vs_exhaustive(
+         checks.grid(1, 1), [(i, s - i) for s in range(7) for i in range(s + 1)],
+         max_enum=10**6),
+     ("count_good_enumeration", _at((1, 1), (3, 3)), lambda n: n + 1),
+     112, (1, 1, 3, 3)),
+    ("nonemptiness_threshold",
+     lambda: checks.nonemptiness_threshold(checks.grid(1, 1), checks.grid(4, 4)),
+     ("count_good_dp", _at((1, 0), (2, 3)), lambda n: 0),
+     100, (1, 0, 2, 3)),
+    ("bad_paths_bounded",
+     lambda: checks.bad_paths_bounded([(1, 1), (1, 2)], 5, 5),
+     ("bad_path_bound", _at((1, 1), (3, 3)), lambda n: 0),
+     72, (1, 1, 3, 3)),
+    ("transport_bijection",
+     lambda: checks.transport_bijection(checks.level(1), [(3, 3), (3, 4)],
+                                        max_paths=10**6),
+     ("count_good_dp", _at((0, 1), (3, 3)), lambda n: n + 1),
+     8, ((1, 0), (0, 1), (3, 4))),
+    ("orbits",
+     lambda: checks.orbits([v for n in range(5) for v in checks.level(n)]),
+     ("orbit", lambda v, *_: tuple(v) == (2, 2), _drop_last),
+     15, (2, 2)),
+    ("level_measures",
+     lambda: checks.level_measures(range(6)),
+     ("cylinder_measure", lambda n: n == 3, lambda m: m + Fraction(1, 10**6)),
+     6, 3),
+]
+
+
+def test_every_check_has_a_case():
+    helpers = {"grid", "level", "origin_form", "problems"}
+    public = {name for name, fn in inspect.getmembers(checks, inspect.isfunction)
+              if fn.__module__ == checks.__name__ and not name.startswith("_")}
+    assert public - helpers == {case[0] for case in CASES}
+
+
+@pytest.mark.parametrize("name,run,plant,checked,cell", CASES,
+                         ids=[case[0] for case in CASES])
+def test_check_reports_a_planted_defect(monkeypatch, name, run, plant, checked, cell):
+    assert run() == ([], checked)
+    target, hit, spoil = plant
+    monkeypatch.setattr(checks, target, _wrong_at(getattr(checks, target), hit, spoil))
+    bad, n = run()
+    assert cell in bad and n == checked
+
+
+def test_problems_fail_a_check_that_checked_nothing():
+    assert checks.problems(([], 3)) == []
+    assert checks.problems(([(0, 0, 1, 1)], 3)) == [(0, 0, 1, 1)]
+    assert checks.problems(([], 0)) == ["checked 0 cells"]
+    # a cap's skip is not counted: the cell of 2,416 paths is not checked
+    capped = checks.sieve_vs_exhaustive([ORIGIN], [(1, 1), (3, 3)], max_enum=10)
+    assert capped == ([], 1)
+    assert checks.problems(([], 0)) == ["checked 0 cells"]

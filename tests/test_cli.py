@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import euleradic.cli as cli
-from euleradic import closed_form_sym, count_good_dp
+import euleradic.goodpaths as goodpaths
+from euleradic import checks, closed_form_sym, count_good_dp
 
 
 def run(capsys, *argv):
@@ -107,6 +108,16 @@ def test_good_line_past_the_int_to_str_digit_limit(capsys):
     assert ratio == f"{f.numerator}/{f.denominator}"
 
 
+def test_good_below_the_threshold_answers_without_the_sieve(capsys, monkeypatch):
+    # The sieve over (2002)^2 terms used to run for seconds to return 0.
+    def no_sieve(*args):
+        raise AssertionError("sieve run below the threshold")
+    monkeypatch.setattr(goodpaths, "_sieve", no_sieve)
+    rc, out, err = run(capsys, "good", "--p", "2000", "--q", "2000",
+                       "--i", "0", "--j", "0")
+    assert (rc, out, err) == (0, "G=0 A=1 G/A=0/1\n", "")
+
+
 def test_good_enum_walks_long_paths(capsys):
     rc, out, err = run(capsys, "good", "--p", "0", "--q", "0",
                        "--i", "3000", "--j", "0", "--method", "enum")
@@ -177,12 +188,34 @@ def test_verify_suites_pass(capsys, suite, flags):
 
 
 def test_verify_reports_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_monotonicity",
+    monkeypatch.setattr(checks, "check_monotonicity",
                         lambda base, imax, jmax: [(0, 0, "planted defect")])
     rc, out, _ = run(capsys, "verify", "--suite", "monotonicity",
                      "--pmax", "0", "--qmax", "1", "--imax", "2", "--jmax", "2")
     assert rc == 1
     assert "FAIL" in out and "planted defect" in out
+
+
+@pytest.mark.parametrize("argv,failed", [
+    (("--suite", "goodcount", "--max-enum", "0"),
+     ["DP count equals exhaustive count (p,q <= 2,2; i+j <= 6)"]),
+    (("--suite", "bijection", "--max-enum", "0"),
+     [f"transport is a bijection between good-path sets at level {n}, "
+      "endpoints <= (4,4)" for n in range(3)]),
+])
+def test_verify_fails_a_case_that_checked_nothing(capsys, argv, failed):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 1 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {name}: checked 0 cells" for name in failed]
+    assert lines[-1] == f"passed {3 - len(failed)} of 3 cases"
+
+
+def test_verify_window_without_cases_exits_two(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "identity", "--pmax", "-1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from test_paths import corrupted
+
 from euleradic import (
     DecodeError,
     EncodingSequence,
@@ -168,8 +170,38 @@ def test_code_text_round_trip():
     "n=2;s0",
     "n=2;s1,s1",
     "n=2;s1,,v1",
+    "n=02;s1",
+    "n=\u0662;s1",
 ])
 def test_parse_code_rejects_malformed_text(bad):
+    with pytest.raises(ValueError):
+        parse_code(bad)
+
+
+@st.composite
+def codes(draw):
+    """A code with any level and symbols, its s-indices distinct."""
+    symbols = draw(st.lists(st.builds(EncodingSymbol, st.sampled_from("shv"),
+                                      st.integers(1, 10**6)), max_size=8))
+    kept, marked = [], set()
+    for sym in symbols:
+        if sym.kind == "s":
+            if sym.index in marked:
+                continue
+            marked.add(sym.index)
+        kept.append(sym)
+    return EncodingSequence(draw(st.integers(0, 10**12)), tuple(kept))
+
+
+@given(codes())
+def test_code_text_round_trip_on_random_codes(code):
+    assert parse_code(format_code(code)) == code
+
+
+@given(st.data(), codes())
+def test_parse_code_rejects_corrupted_text(data, code):
+    text = format_code(code)
+    bad = data.draw(corrupted(text, text.index(";") + 1))
     with pytest.raises(ValueError):
         parse_code(bad)
 

@@ -1,7 +1,8 @@
-"""Byte-exact CLI output: the README examples, and digests of two long
-outputs whose text must not change when the code under them does.  The
-same holds for the text of the encode and transport results on the
-benchmark's walk cells."""
+"""Byte-exact CLI output: the README examples, and digests of long
+outputs whose text must not change when the code under them does (an
+orbit, every verify suite at its defaults and the benchmark's verify
+jobs).  The same holds for the text of the encode and transport results
+on the benchmark's walk cells."""
 
 import hashlib
 
@@ -28,12 +29,45 @@ README_EXAMPLES = [
      "(1,1):H1,V2,H3\n"),
 ]
 
-# SHA-256 of stdout, taken before the adic map became an odometer.
+# SHA-256 of stdout.  The first two were taken before the adic map became
+# an odometer; the verify rows after them (every suite at its defaults,
+# then the benchmark's verify jobs) before the suites moved into
+# euleradic.checks.
 DIGESTS = [
-    (("orbit", "--vertex", "3,4"),
+    ("orbit", ("orbit", "--vertex", "3,4"),
      "9a16ffaf3002e0442a0772c6b7401fc8deae6be9e669dddd65da7a045dd97382"),
-    (("verify", "--suite", "orbit"),
+    ("verify", ("verify", "--suite", "orbit"),
      "82c4dbabee59ff8ec101184030feaf365593e3e02e04ce7de4c599fabac2a3ec"),
+    ("verify-recurrence", ("verify", "--suite", "recurrence"),
+     "11dcaab49a5d28c6ff40b8cf1e3e20bd4115e37ac67874b5eb40ff5b3bd8066e"),
+    ("verify-closedform", ("verify", "--suite", "closedform"),
+     "c315bd09ef5408eb29a1012030cae352da29944a6eee9417537f9e6bbb77f803"),
+    ("verify-monotonicity", ("verify", "--suite", "monotonicity"),
+     "3f0a06ca1d207d65eabf21b9ce38c862f67a7fd58a3e387c8026480a43fa45ba"),
+    ("verify-identity", ("verify", "--suite", "identity"),
+     "ac281defefe4549caedf792b52b3e902963ab13e98beb795321c05a0201cbe36"),
+    ("verify-goodcount", ("verify", "--suite", "goodcount"),
+     "cf1106aca16335b6f6b55b028dbc633ecddaf080a4b11ff18f8d11e71a31bc0e"),
+    ("verify-bijection", ("verify", "--suite", "bijection"),
+     "aa1d8c1137c22673a4f0d8bd1a25e0c039564d9f9e847c1314aec83eafca8832"),
+    ("verify-identity-10", ("verify", "--suite", "identity", "--pmax", "3",
+                            "--imax", "10"),
+     "3aa6497992c96c34d78f4d19de2456d4677313443b006ae0066146cdbc0861ec"),
+    ("verify-identity-18", ("verify", "--suite", "identity", "--pmax", "3",
+                            "--imax", "18"),
+     "4677307cb4fbbd024aad1a0f950d616743948949f69ec6ace6f29e12c22abafc"),
+    ("verify-recurrence-16", ("verify", "--suite", "recurrence", "--pmax", "2",
+                              "--qmax", "2", "--imax", "16", "--jmax", "16"),
+     "068d1a67a173df3058915813d639eaec5df40c59de428ce526a7ea124f7c8587"),
+    ("verify-recurrence-24", ("verify", "--suite", "recurrence", "--pmax", "2",
+                              "--qmax", "2", "--imax", "24", "--jmax", "24"),
+     "b2bae3b75c50115b25b11c4c150558e4b0cc87b8427854c3bc35ccc3353d365e"),
+    ("verify-monotonicity-16", ("verify", "--suite", "monotonicity", "--pmax", "2",
+                                "--qmax", "3", "--imax", "16", "--jmax", "16"),
+     "6cba2705b7dc276574b5c92c1a6a3c880a94a9727cfd8083c1f01165b116bbd4"),
+    ("verify-monotonicity-24", ("verify", "--suite", "monotonicity", "--pmax", "2",
+                                "--qmax", "3", "--imax", "24", "--jmax", "24"),
+     "7fad3b24791a12df1afda1a4e57a261b534d150953ea7e7250690d5a7c6439e9"),
 ]
 
 
@@ -45,8 +79,8 @@ def test_readme_example(capsys, argv, expected):
     assert (rc, captured.out, captured.err) == (0, expected, "")
 
 
-@pytest.mark.parametrize("argv,digest", DIGESTS,
-                         ids=[argv[0] for argv, _ in DIGESTS])
+@pytest.mark.parametrize("argv,digest", [row[1:] for row in DIGESTS],
+                         ids=[row[0] for row in DIGESTS])
 def test_output_digest(capsys, argv, digest):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()

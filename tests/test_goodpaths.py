@@ -113,6 +113,17 @@ def test_nonemptiness_threshold():
                     assert positive == (i >= q + 1 and j >= p + 1)
 
 
+def test_sieve_table_is_zero_exactly_below_the_threshold():
+    # count_good_dp answers 0 below the threshold without summing; the
+    # table still sums the sieve there, so its terms must cancel.
+    for p in range(4):
+        for q in range(4):
+            table = good_count_table((p, q), 8, 8)
+            for i in range(9):
+                for j in range(9):
+                    assert (table[i][j] > 0) == (i >= q + 1 and j >= p + 1)
+
+
 def test_good_count_table_agrees_with_pointwise():
     table = good_count_table((1, 1), 5, 5)
     for i in range(6):

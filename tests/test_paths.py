@@ -1,8 +1,10 @@
 """Path objects, exhaustive enumeration, and the text format."""
 
+import re
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from math import factorial
 
@@ -129,7 +131,58 @@ def test_text_round_trip():
     "(0,0):H1,,V1",
     "(-1,0):H1",
     "(0,0):H01",
+    "(01,0):H1",
+    "(\u0663,0):H1",
+    "(0,0):H1\u0661",
 ])
 def test_parse_rejects_malformed_text(bad):
+    with pytest.raises(ValueError):
+        parse_path(bad)
+
+
+# Decimal digits other than 0-9 that int() would read.
+NON_ASCII_ZEROS = [0x0660, 0x06F0, 0x0966, 0x0E50, 0xFF10, 0x1D7CE]
+
+
+@st.composite
+def corrupted(draw, text, body_start):
+    """The text with one defect: a number emptied, given a leading zero or
+    one of its digits written in another script, or an empty token added
+    to the comma-separated body that starts at body_start."""
+    how = draw(st.sampled_from(["empty number", "leading zero",
+                                "non-ASCII digit", "empty token"]))
+    if how == "empty token":
+        at = draw(st.sampled_from([body_start, len(text)] + [
+            k for k in range(body_start, len(text)) if text[k] == ","]))
+        return text[:at] + "," + text[at:]
+    a, b = draw(st.sampled_from([m.span() for m in re.finditer("[0-9]+", text)]))
+    number = text[a:b]
+    if how == "empty number":
+        number = ""
+    elif how == "leading zero":
+        number = "0" + number
+    else:
+        k = draw(st.integers(0, len(number) - 1))
+        digit = chr(draw(st.sampled_from(NON_ASCII_ZEROS)) + int(number[k]))
+        number = number[:k] + digit + number[k + 1:]
+    return text[:a] + number + text[b:]
+
+
+euler_paths = st.builds(
+    lambda x, y, steps: EulerPath(Vertex(x, y), tuple(steps)),
+    st.integers(0, 10**12), st.integers(0, 10**12),
+    st.lists(st.builds(Step, st.sampled_from("HV"), st.integers(1, 10**6)),
+             max_size=8))
+
+
+@given(euler_paths)
+def test_text_round_trip_on_random_paths(path):
+    assert parse_path(format_path(path)) == path
+
+
+@given(st.data(), euler_paths)
+def test_parse_rejects_corrupted_text(data, path):
+    text = format_path(path)
+    bad = data.draw(corrupted(text, text.index(":") + 1))
     with pytest.raises(ValueError):
         parse_path(bad)
