@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetError, MaximalPathError
 from .eulerian import ORIGIN, Vertex, _as_vertex, dim_between
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, validate)
+                    VERTICAL, _steps, validate)
 
 
 class IncomingEdge(NamedTuple):
@@ -93,8 +93,8 @@ def compare(a: EulerPath, b: EulerPath) -> int:
             y -= 1
 
 
-_H1 = Step(HORIZONTAL, 1)
-_V1 = Step(VERTICAL, 1)
+_H1 = _steps(HORIZONTAL, 1)[1]
+_V1 = _steps(VERTICAL, 1)[1]
 
 
 def _minimal_steps(x: int, y: int) -> list[Step]:
@@ -111,7 +111,8 @@ def maximal_path(v) -> EulerPath:
     """The greatest root path to v: last incoming edge at every level, which
     is H1 along the x axis and then the last vertical edge V(x+1) up."""
     x, y = _as_vertex(v)
-    return EulerPath(ORIGIN, (_H1,) * x + (Step(VERTICAL, x + 1),) * y)
+    last_v = (_steps(VERTICAL, x + 1)[x + 1],) if y else ()
+    return EulerPath(ORIGIN, (_H1,) * x + last_v * y)
 
 
 class _Odometer:
@@ -153,10 +154,10 @@ class _Odometer:
         # The horizontal bundle from (x-1, y) holds ranks 0..y, the
         # vertical bundle from (x, y-1) the ranks after it.
         if rank <= y:
-            steps[m] = Step(HORIZONTAL, rank + 1)
+            steps[m] = _steps(HORIZONTAL, rank + 1)[rank + 1]
             px, py = x - 1, y
         else:
-            steps[m] = Step(VERTICAL, rank - y)
+            steps[m] = _steps(VERTICAL, rank - y)[rank - y]
             px, py = x, y - 1
         # Levels below m become the minimal path to the new parent,
         # V1 * py then H1 * px.  A parent on an axis has one root path,

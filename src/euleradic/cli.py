@@ -143,8 +143,9 @@ def _boundary_counts(a):
                    f"{'equal' if len(set(counts)) == 1 else 'UNEQUAL'} (not asserted)")
 
 
-# Each suite: its default window, its cases for a window as
-# (name, (bad, checked)) from euleradic.checks, and its INFO lines.
+# Each suite: its default window, which names every window flag the suite
+# reads, its cases for a window as (name, (bad, checked)) from
+# euleradic.checks, and its INFO lines.
 _SUITES = {
     "recurrence": (dict(pmax=2, qmax=2, imax=8, jmax=8), lambda a: [
         (f"closed form equals recurrence at base ({p},{q}), window {a.imax}x{a.jmax}",
@@ -191,8 +192,20 @@ _SUITES = {
 }
 
 
+_WINDOW_FLAGS = ("pmax", "qmax", "imax", "jmax", "summax", "levels", "epmax")
+
+
 def _cmd_verify(args) -> int:
     defaults, suite, *infos = _SUITES[args.suite]
+    for key in _WINDOW_FLAGS:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in defaults:
+            raise ValueError(f"the {args.suite} suite does not read --{key}; its "
+                             f"window flags are {', '.join('--' + k for k in defaults)}")
+        if value < 0:
+            raise ValueError(f"--{key} must be nonnegative, got {value}")
     window = argparse.Namespace(**{**defaults, **{
         key: value for key, value in vars(args).items() if value is not None}})
     cases = [(name, result[0], checks.problems(result)) for name, result in suite(window)]
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named invariant suite")
     v.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    for window in ("pmax", "qmax", "imax", "jmax", "summax", "levels", "epmax"):
+    for window in _WINDOW_FLAGS:
         v.add_argument(f"--{window}", type=int)    # default: the suite's
     v.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BUDGET)
     v.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)

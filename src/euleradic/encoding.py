@@ -16,9 +16,8 @@ import re
 from typing import NamedTuple
 
 from .errors import DecodeError
-from .eulerian import Vertex
-from .goodpaths import LabelScheme
-from .paths import EulerPath, HORIZONTAL, Step, VERTICAL, validate
+from .goodpaths import LabelScheme, _require_base
+from .paths import EulerPath, HORIZONTAL, VERTICAL, _steps, validate
 
 KIND_MARKED = "s"
 KIND_H_UNMARKED = "h"
@@ -36,6 +35,23 @@ class EncodingSymbol(NamedTuple):
     index: int
 
 
+# The symbols encode builds, shared: _SYMBOLS[kind][k] is
+# EncodingSymbol(kind, k).  A symbol is immutable, so one instance serves
+# every sequence.  A table grows only to an index encode has just taken
+# from a validated step; parse_code builds fresh symbols, so text from
+# outside cannot grow one.
+_SYMBOLS: dict[str, list] = {KIND_MARKED: [None], KIND_H_UNMARKED: [None],
+                             KIND_V_UNMARKED: [None]}
+
+
+def _symbols(kind: str, size: int) -> list[EncodingSymbol]:
+    """The shared table of `kind`, holding entries 1..size at least."""
+    table = _SYMBOLS[kind]
+    if len(table) <= size:
+        table.extend(EncodingSymbol(kind, k) for k in range(len(table), size + 1))
+    return table
+
+
 class EncodingSequence(NamedTuple):
     """A symbol sequence together with the base level n = p+q it was
     produced from.  s-symbols are pairwise distinct, with indices in
@@ -48,9 +64,7 @@ class EncodingSequence(NamedTuple):
 def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     """Encode a path (any path, good or not) relative to the scheme whose
     base it starts at."""
-    if Vertex(*path.start) != scheme.base:
-        raise ValueError(f"path starts at {tuple(path.start)}, "
-                         f"scheme base is {tuple(scheme.base)}")
+    _require_base(scheme, path)
     validate(path)
     bundles = scheme.bundles
     consumed = 0
@@ -59,13 +73,14 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
         first, labeled = bundles[direction]
         if idx <= labeled and not consumed >> (first + idx - 1) & 1:
             consumed |= 1 << (first + idx - 1)
-            symbols.append(EncodingSymbol(KIND_MARKED, first + idx))
+            kind, index = KIND_MARKED, first + idx
         else:
             # Position among the unmarked edges: idx less the marked
             # (labeled, unconsumed) edges below it.
             below = min(labeled, idx - 1)
-            pos = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
-            symbols.append(EncodingSymbol(_UNMARKED_KIND[direction], pos))
+            kind = _UNMARKED_KIND[direction]
+            index = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
+        symbols.append(_symbols(kind, index)[index])
     return EncodingSequence(sum(scheme.base), tuple(symbols))
 
 
@@ -80,9 +95,7 @@ def unmarked_counts(scheme: LabelScheme, path: EulerPath, m: int) -> tuple[int, 
     """
     if not 0 <= m <= len(path.steps):
         raise ValueError(f"step index {m} outside [0, {len(path.steps)}]")
-    if Vertex(*path.start) != scheme.base:
-        raise ValueError(f"path starts at {tuple(path.start)}, "
-                         f"scheme base is {tuple(scheme.base)}")
+    _require_base(scheme, path)
     validate(path)
     head = path.steps[:m]
     consumed = scheme.consumed(head)
@@ -105,10 +118,10 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                          f"base {tuple(scheme.base)} has level {p + q}")
     x, y = scheme.base
     consumed = 0
-    steps: list[Step] = []
-    for pos, sym in enumerate(code.symbols, start=1):
-        if sym.kind == KIND_MARKED:
-            a = sym.index
+    steps: list = []
+    for pos, (kind, index) in enumerate(code.symbols, start=1):
+        if kind == KIND_MARKED:
+            a = index
             if not 1 <= a <= p + q + 2:
                 raise DecodeError(f"symbol {pos}: no label s_{a} at a level-"
                                   f"{p + q} base")
@@ -116,24 +129,24 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                 raise DecodeError(f"symbol {pos}: label s_{a} already consumed")
             consumed |= 1 << (a - 1)
             step = scheme.steps[a - 1]
-        elif sym.kind in _UNMARKED_DIRECTION:
-            direction = _UNMARKED_DIRECTION[sym.kind]
+        elif kind in _UNMARKED_DIRECTION:
+            direction = _UNMARKED_DIRECTION[kind]
             first, labeled = scheme.bundles[direction]
             size = y + 1 if direction == HORIZONTAL else x + 1
             seen = 0
             for idx in range(1, size + 1):
                 if idx > labeled or consumed >> (first + idx - 1) & 1:
                     seen += 1
-                    if seen == sym.index:
+                    if seen == index:
                         break
             else:
                 raise DecodeError(
                     f"symbol {pos}: only {seen} unmarked "
                     f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
-                    f"edges at {(x, y)}, need position {sym.index}")
-            step = Step(direction, idx)
+                    f"edges at {(x, y)}, need position {index}")
+            step = _steps(direction, idx)[idx]
         else:
-            raise DecodeError(f"symbol {pos}: unknown kind {sym.kind!r}")
+            raise DecodeError(f"symbol {pos}: unknown kind {kind!r}")
         steps.append(step)
         if step.direction == HORIZONTAL:
             x += 1

@@ -37,12 +37,14 @@ class LabelScheme:
     mask of labels, bit a-1 stands for s_a, so `bundles` maps each
     direction to its first mask bit and its labeled-edge count:
     H to (0, q+1) and V to (q+1, p+1).  The inverse, `steps[a-1]`, is
-    the step along the edge that carries s_a.
+    the step along the edge that carries s_a, and `full_mask` has all
+    p+q+2 label bits set.
     """
 
     base: Vertex
     bundles: dict = field(init=False, repr=False, compare=False)
     steps: tuple = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", _as_vertex(self.base))
@@ -52,14 +54,11 @@ class LabelScheme:
         object.__setattr__(self, "steps", tuple(
             Step(direction, k) for direction, (_, labeled) in bundles.items()
             for k in range(1, labeled + 1)))
+        object.__setattr__(self, "full_mask", (1 << self.label_count) - 1)
 
     @property
     def label_count(self) -> int:
         return self.base.x + self.base.y + 2
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.label_count) - 1
 
     def consumed(self, steps) -> int:
         """Mask of the labels a sequence of steps consumes."""
@@ -87,12 +86,17 @@ def edge_label(scheme: LabelScheme, at, direction: str, idx: int) -> int | None:
     return first + idx if idx <= labeled else None
 
 
+def _require_base(scheme: LabelScheme, path: EulerPath) -> None:
+    # A start equal to the base as a tuple needs no Vertex built.
+    if path.start != scheme.base and Vertex(*path.start) != scheme.base:
+        raise ValueError(f"path starts at {tuple(path.start)}, "
+                         f"scheme base is {tuple(scheme.base)}")
+
+
 def is_good(scheme: LabelScheme, path: EulerPath) -> tuple[bool, int]:
     """Walk the path, consuming labels on first marked traversal.  Returns
     (goodness, consumed bitmask)."""
-    if Vertex(*path.start) != scheme.base:
-        raise ValueError(f"path starts at {tuple(path.start)}, "
-                         f"scheme base is {tuple(scheme.base)}")
+    _require_base(scheme, path)
     validate(path)
     mask = scheme.consumed(path.steps)
     return mask == scheme.full_mask, mask

@@ -44,8 +44,26 @@ class EulerPath(NamedTuple):
 
     def end(self) -> Vertex:
         """End vertex by step bookkeeping alone (no validity check)."""
+        x, y = self.start
         dx = sum(1 for s in self.steps if s.direction == HORIZONTAL)
-        return Vertex(self.start.x + dx, self.start.y + len(self.steps) - dx)
+        return Vertex(x + dx, y + len(self.steps) - dx)
+
+
+# The steps the library builds, shared: _STEPS[d][k] is Step(d, k).  A
+# Step is immutable, so one instance serves every path.  A table grows
+# only to an edge index the library is about to put in a path, checked
+# against its bundle; parse_path builds fresh steps, so text from outside
+# cannot grow one.
+_STEPS: dict[str, list] = {HORIZONTAL: [None], VERTICAL: [None]}
+
+
+def _steps(direction: str, size: int) -> list[Step]:
+    """The shared table of `direction`: entries 1..size (at least) are the
+    steps along a bundle of `size` edges."""
+    table = _STEPS[direction]
+    if len(table) <= size:
+        table.extend(Step(direction, k) for k in range(len(table), size + 1))
+    return table
 
 
 def multiplicity(v, direction: str) -> int:
@@ -85,46 +103,43 @@ def validate(path: EulerPath) -> Vertex:
     return Vertex(x, y)
 
 
-def _options(v: Vertex, di: int, dj: int) -> Iterator[Step]:
-    # Enumeration order at a vertex: all horizontal edges by ascending
-    # index, then all vertical edges by ascending index.
-    if di:
-        for idx in range(1, v.y + 2):
-            yield Step(HORIZONTAL, idx)
-    if dj:
-        for idx in range(1, v.x + 2):
-            yield Step(VERTICAL, idx)
-
-
 def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
-    i, j = off
+    (p, q), (i, j) = base, off
     total = i + j
     if total == 0:
         yield EulerPath(base, ())
         return
-    steps: list[Step] = []
-    verts: list[Vertex] = [base]
-    stack = [_options(base, i, j)]
+    # Enumeration order at a vertex: all horizontal edges by ascending
+    # index, then all vertical edges by ascending index.  The walk is at
+    # (p + a, q + b); options[a][b] lists the steps it may take there.
+    hs = _steps(HORIZONTAL, q + j + 1) if i else []
+    vs = _steps(VERTICAL, p + i + 1) if j else []
+    options = [[(hs[1:q + b + 2] if a < i else []) + (vs[1:p + a + 2] if b < j else [])
+                for b in range(j + 1)] for a in range(i + 1)]
+    steps: list[Step] = [None] * total
+    a = b = 0
+    last = total - 1
+    stack = [iter(options[0][0])]
     while stack:
+        depth = len(stack) - 1
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
-            verts.pop()
-            if steps:
-                steps.pop()
+            if depth:
+                if steps[depth - 1].direction == HORIZONTAL:
+                    a -= 1
+                else:
+                    b -= 1
             continue
-        if len(steps) < len(stack):
-            steps.append(step)
-        else:
-            steps[len(stack) - 1] = step
-        v = verts[-1]
-        nv = (Vertex(v.x + 1, v.y) if step.direction == HORIZONTAL
-              else Vertex(v.x, v.y + 1))
-        if len(stack) == total:
+        steps[depth] = step
+        if depth == last:
             yield EulerPath(base, tuple(steps))
         else:
-            verts.append(nv)
-            stack.append(_options(nv, i - (nv.x - base.x), j - (nv.y - base.y)))
+            if step.direction == HORIZONTAL:
+                a += 1
+            else:
+                b += 1
+            stack.append(iter(options[a][b]))
 
 
 def _enum_args(base, off, max_enum: int) -> tuple[Vertex, Offset]:
@@ -187,8 +202,9 @@ _STEP_RE = re.compile(r"([HV])([1-9][0-9]*)")
 def format_path(path: EulerPath) -> str:
     """Serialize as '(x,y):H1,V2,...' (empty step list leaves nothing
     after the colon)."""
+    x, y = path.start
     body = ",".join(f"{s.direction}{s.edge_index}" for s in path.steps)
-    return f"({path.start.x},{path.start.y}):{body}"
+    return f"({x},{y}):{body}"
 
 
 def parse_path(text: str) -> EulerPath:

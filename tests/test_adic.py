@@ -205,6 +205,13 @@ def test_interleaved_orbits_and_successor_calls_keep_the_order():
     assert got == expected
 
 
+def test_successor_steps_equal_fresh_ones():
+    for path in [*orbit((2, 3)), maximal_path((3, 2))]:
+        fresh = EulerPath(ORIGIN, tuple(Step(*s) for s in path.steps))
+        assert path == fresh and hash(path) == hash(fresh)
+        assert all(type(step) is Step for step in path.steps)
+
+
 def test_orbit_exact_at_1_1():
     assert list(orbit((1, 1))) == [
         parse_path("(0,0):V1,H1"),

@@ -213,9 +213,26 @@ def test_verify_fails_a_case_that_checked_nothing(capsys, argv, failed):
 
 
 def test_verify_window_without_cases_exits_two(capsys):
-    rc, out, err = run(capsys, "verify", "--suite", "identity", "--pmax", "-1")
+    # Monotonicity has one case per base with q >= 1.
+    rc, out, err = run(capsys, "verify", "--suite", "monotonicity", "--qmax", "0")
     assert rc == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == "error: the window holds no case of the monotonicity suite\n"
+
+
+def test_verify_refuses_a_flag_its_suite_does_not_read(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "identity", "--qmax", "9",
+                       "--levels", "3", "--summax", "2")
+    assert rc == 2 and out == ""
+    assert err == ("error: the identity suite does not read --qmax; "
+                   "its window flags are --pmax, --imax\n")
+
+
+@pytest.mark.parametrize("suite,flag", [
+    (suite, flag) for suite, (window, *_) in cli._SUITES.items() for flag in window])
+def test_verify_negative_window_exits_two(capsys, suite, flag):
+    rc, out, err = run(capsys, "verify", "--suite", suite, f"--{flag}", "-2")
+    assert rc == 2 and out == ""
+    assert err == f"error: --{flag} must be nonnegative, got -2\n"
 
 
 def test_usage_errors_exit_two(capsys):

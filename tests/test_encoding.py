@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from test_paths import corrupted
 
+import euleradic.encoding as encoding_module
+
 from euleradic import (
     DecodeError,
     EncodingSequence,
@@ -104,6 +106,29 @@ def test_decode_inverts_encode():
         for off in [(0, 0), (1, 2), (2, 2), (3, 1)]:
             for path in enumerate_paths(base, off):
                 assert decode(scheme, encode(scheme, path)) == path
+
+
+def test_encoded_and_decoded_values_equal_fresh_ones():
+    scheme = _scheme(1, 1)
+    for path in enumerate_paths((1, 1), (2, 3)):
+        code = encode(scheme, path)
+        for sym in code.symbols:
+            fresh = EncodingSymbol(sym.kind, sym.index)
+            assert sym == fresh and hash(sym) == hash(fresh)
+            assert type(sym) is EncodingSymbol
+        for decoded in (decode(scheme, code), decode(scheme, parse_code(format_code(code)))):
+            fresh = EulerPath(Vertex(1, 1), tuple(Step(*s) for s in decoded.steps))
+            assert decoded == fresh == path and hash(decoded) == hash(fresh)
+            assert all(type(step) is Step for step in decoded.steps)
+
+
+def test_parse_code_leaves_the_symbol_table_alone():
+    sizes = {kind: len(table) for kind, table in encoding_module._SYMBOLS.items()}
+    code = parse_code(f"n=0;h{10**9}")
+    assert code.symbols == (EncodingSymbol("h", 10**9),)
+    with pytest.raises(DecodeError):
+        decode(_scheme(0, 0), code)
+    assert {kind: len(table) for kind, table in encoding_module._SYMBOLS.items()} == sizes
 
 
 def test_decode_examples_and_errors():

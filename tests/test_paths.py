@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from math import factorial
 
+import euleradic.paths as paths_module
 from euleradic import (
     BudgetError,
     EulerPath,
@@ -113,6 +114,33 @@ def test_end_bookkeeping():
     path = _p("(2,1):H1,H2,V3,H1")
     assert path.end() == Vertex(5, 2)
     assert _p("(4,7):").end() == Vertex(4, 7)
+
+
+def test_format_and_end_take_a_plain_start():
+    path = EulerPath((0, 0), (Step("H", 1),))
+    assert format_path(path) == "(0,0):H1"
+    assert path.end() == Vertex(1, 0)
+
+
+def test_enumerated_steps_are_shared_and_equal_fresh_ones():
+    found = list(enumerate_paths((1, 1), (2, 2)))
+    first_seen = {}
+    for path in found:
+        for step in path.steps:
+            fresh = Step(step.direction, step.edge_index)
+            assert step == fresh and hash(step) == hash(fresh)
+            assert type(step) is Step
+            # Equal steps of any two paths of the cell are one object.
+            assert first_seen.setdefault(step, step) is step
+
+
+def test_parse_path_leaves_the_step_table_alone():
+    sizes = {d: len(table) for d, table in paths_module._STEPS.items()}
+    path = parse_path(f"(0,0):H{10**9}")
+    assert path.steps == (Step("H", 10**9),)
+    with pytest.raises(PathValidationError):
+        validate(path)
+    assert {d: len(table) for d, table in paths_module._STEPS.items()} == sizes
 
 
 def test_text_round_trip():
