@@ -122,9 +122,12 @@ class _Odometer:
     # xs[k] is the x coordinate after step k.  Levels below `lo` enter
     # vertices on an axis, which have one incoming edge; every level from
     # lo up enters a vertex (x, y) with x, y >= 1 and (y+1) + (x+1)
-    # incoming edges.
+    # incoming edges.  hs and vs are the shared step tables, grown here to
+    # the y+1 horizontal and x+1 vertical edges of the widest bundles below
+    # the end vertex (x, y), so advancing never grows them.  An end vertex
+    # on an axis has one root path, and the tables are left as they are.
 
-    __slots__ = ("steps", "xs", "ranks", "lo")
+    __slots__ = ("steps", "xs", "ranks", "lo", "hs", "vs")
 
     def __init__(self, steps):
         # `steps` must be a valid root path; nothing is checked here.
@@ -134,9 +137,11 @@ class _Odometer:
                       for k, (x, s) in enumerate(zip(self.xs, self.steps))]
         self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
                        len(self.steps))
-
-    def path(self) -> EulerPath:
-        return EulerPath(ORIGIN, tuple(self.steps))
+        x = self.xs[-1] if self.xs else 0
+        y = len(self.xs) - x
+        grow = x and y
+        self.hs = _steps(HORIZONTAL, y + 1 if grow else 0)
+        self.vs = _steps(VERTICAL, x + 1 if grow else 0)
 
     def _advance(self) -> bool:
         # Step to the successor in place; False when the path is maximal.
@@ -154,10 +159,10 @@ class _Odometer:
         # The horizontal bundle from (x-1, y) holds ranks 0..y, the
         # vertical bundle from (x, y-1) the ranks after it.
         if rank <= y:
-            steps[m] = _steps(HORIZONTAL, rank + 1)[rank + 1]
+            steps[m] = self.hs[rank + 1]
             px, py = x - 1, y
         else:
-            steps[m] = _steps(VERTICAL, rank - y)[rank - y]
+            steps[m] = self.vs[rank - y]
             px, py = x, y - 1
         # Levels below m become the minimal path to the new parent,
         # V1 * py then H1 * px.  A parent on an axis has one root path,
@@ -170,18 +175,19 @@ class _Odometer:
         return True
 
 
-# The odometer behind the last path that `successor` or `orbit` built,
-# keyed by the path's id, so that successor(x) on that path resumes it
-# instead of checking and reloading x.  The entry holds the path, so its
-# id is not reused while it is here, and pop hands the odometer to one
-# caller only.  Building a path clears the older entries.
-_resume: dict[int, tuple[EulerPath, _Odometer]] = {}
+# The last path that `successor` or `orbit` built and the odometer
+# behind it, so that successor(x) on that very path (by identity) resumes
+# the odometer instead of checking and reloading x.  Taking the odometer
+# empties the slot, so it serves one caller only; building a path
+# replaces the older one.
+_resume: list = [None, None]
 
 
 def _built(odometer: _Odometer) -> EulerPath:
-    path = odometer.path()
-    _resume.clear()
-    _resume[id(path)] = (path, odometer)
+    # EulerPath(ORIGIN, ...) without the Python-level __new__ of a NamedTuple.
+    path = tuple.__new__(EulerPath, (ORIGIN, tuple(odometer.steps)))
+    _resume[0] = path
+    _resume[1] = odometer
     return path
 
 
@@ -191,8 +197,10 @@ def successor(x: EulerPath) -> EulerPath:
     that successor or orbit has just built resumes its odometer without
     being checked again, so walking an orbit by successor takes amortized
     O(1) time per path; any other x is checked and loaded first."""
-    _, odometer = _resume.pop(id(x), (None, None))
-    if odometer is None:
+    if _resume[0] is x:
+        odometer = _resume[1]
+        _resume[0] = _resume[1] = None
+    else:
         _require_root(x)
         validate(x)
         odometer = _Odometer(x.steps)

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import checks
 from .checks import grid, level
@@ -112,9 +113,15 @@ def _cmd_transport(args) -> int:
     return 0
 
 
+#: Lines `orbit` hands to one stdout write; bounds the text held at once.
+_ORBIT_CHUNK = 4096
+
+
 def _cmd_orbit(args) -> int:
-    for path in orbit(args.vertex, max_enum=args.max_enum):
-        print(format_path(path))
+    lines = map(format_path, orbit(args.vertex, max_enum=args.max_enum))
+    while chunk := list(islice(lines, _ORBIT_CHUNK)):
+        chunk.append("")        # so the join ends the last line too
+        sys.stdout.write("\n".join(chunk))
     return 0
 
 

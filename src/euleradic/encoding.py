@@ -117,6 +117,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
         raise ValueError(f"code was taken at level {code.base_level}, "
                          f"base {tuple(scheme.base)} has level {p + q}")
     x, y = scheme.base
+    label_steps = scheme.label_steps
     consumed = 0
     steps: list = []
     for pos, (kind, index) in enumerate(code.symbols, start=1):
@@ -128,7 +129,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
             if consumed >> (a - 1) & 1:
                 raise DecodeError(f"symbol {pos}: label s_{a} already consumed")
             consumed |= 1 << (a - 1)
-            step = scheme.steps[a - 1]
+            step = label_steps[a]
         elif kind in _UNMARKED_DIRECTION:
             direction = _UNMARKED_DIRECTION[kind]
             first, labeled = scheme.bundles[direction]

@@ -24,7 +24,27 @@ from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
                        _count, _fill)
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _enum_args, multiplicity, validate)
+                    VERTICAL, _enum_args, _steps, multiplicity, validate)
+
+
+class _LabelSteps(dict):
+    # Label a -> the shared step along the edge that carries s_a, derived
+    # from the scheme's bundles the first time a is looked up, so a scheme
+    # holds only the label steps it has been asked for.
+
+    __slots__ = ("bundles",)
+
+    def __init__(self, bundles: dict):
+        super().__init__()
+        self.bundles = bundles
+
+    def __missing__(self, a: int) -> Step:
+        first_v, labeled_v = self.bundles[VERTICAL]
+        if not 1 <= a <= first_v + labeled_v:
+            raise KeyError(a)
+        direction, k = (HORIZONTAL, a) if a <= first_v else (VERTICAL, a - first_v)
+        step = self[a] = _steps(direction, k)[k]
+        return step
 
 
 @dataclass(frozen=True)
@@ -36,14 +56,15 @@ class LabelScheme:
     k <= p+1 carries s_{q+1+k}, and every other edge is unlabeled.  In a
     mask of labels, bit a-1 stands for s_a, so `bundles` maps each
     direction to its first mask bit and its labeled-edge count:
-    H to (0, q+1) and V to (q+1, p+1).  The inverse, `steps[a-1]`, is
-    the step along the edge that carries s_a, and `full_mask` has all
-    p+q+2 label bits set.
+    H to (0, q+1) and V to (q+1, p+1).  The inverse, `label_steps[a]`
+    for 1 <= a <= p+q+2, is the step along the edge that carries s_a,
+    built when first looked up, and `full_mask` has all p+q+2 label bits
+    set.
     """
 
     base: Vertex
     bundles: dict = field(init=False, repr=False, compare=False)
-    steps: tuple = field(init=False, repr=False, compare=False)
+    label_steps: dict = field(init=False, repr=False, compare=False)
     full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,9 +72,7 @@ class LabelScheme:
         p, q = self.base
         bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
         object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "steps", tuple(
-            Step(direction, k) for direction, (_, labeled) in bundles.items()
-            for k in range(1, labeled + 1)))
+        object.__setattr__(self, "label_steps", _LabelSteps(bundles))
         object.__setattr__(self, "full_mask", (1 << self.label_count) - 1)
 
     @property

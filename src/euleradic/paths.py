@@ -53,8 +53,11 @@ class EulerPath(NamedTuple):
 # Step is immutable, so one instance serves every path.  A table grows
 # only to an edge index the library is about to put in a path, checked
 # against its bundle; parse_path builds fresh steps, so text from outside
-# cannot grow one.
+# cannot grow one.  _STEP_TEXT maps the id of each shared step to its
+# text in format_path; shared steps live as long as their table, so no
+# other object can hold one of these ids.
 _STEPS: dict[str, list] = {HORIZONTAL: [None], VERTICAL: [None]}
+_STEP_TEXT: dict[int, str] = {}
 
 
 def _steps(direction: str, size: int) -> list[Step]:
@@ -62,7 +65,10 @@ def _steps(direction: str, size: int) -> list[Step]:
     steps along a bundle of `size` edges."""
     table = _STEPS[direction]
     if len(table) <= size:
-        table.extend(Step(direction, k) for k in range(len(table), size + 1))
+        new = [Step(direction, k) for k in range(len(table), size + 1)]
+        table += new
+        _STEP_TEXT.update((id(step), f"{direction}{step.edge_index}")
+                          for step in new)
     return table
 
 
@@ -203,7 +209,10 @@ def format_path(path: EulerPath) -> str:
     """Serialize as '(x,y):H1,V2,...' (empty step list leaves nothing
     after the colon)."""
     x, y = path.start
-    body = ",".join(f"{s.direction}{s.edge_index}" for s in path.steps)
+    try:
+        body = ",".join(map(_STEP_TEXT.__getitem__, map(id, path.steps)))
+    except KeyError:    # a step the library did not build
+        body = ",".join(f"{s.direction}{s.edge_index}" for s in path.steps)
     return f"({x},{y}):{body}"
 
 

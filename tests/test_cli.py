@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -259,6 +260,46 @@ def test_resource_errors_exit_two(capsys):
     rc, out, err = run(capsys, "good", "--p", "0", "--q", "0",
                        "--i", "2000", "--j", "2000")
     assert rc == 2 and out == "" and "budget" in err
+
+
+class _WriteSpy:
+    """A stdout that records every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_orbit_writes_whole_lines_in_bounded_chunks(monkeypatch):
+    spy = _WriteSpy()
+    monkeypatch.setattr(sys, "stdout", spy)
+    assert cli.main(["orbit", "--vertex", "3,4"]) == 0
+    out = "".join(spy.writes)
+    assert out.count("\n") == 15619 and len(spy.writes) > 1
+    assert all(text.endswith("\n") for text in spy.writes)
+    assert max(text.count("\n") for text in spy.writes) <= cli._ORBIT_CHUNK
+    # The `orbit --vertex 3,4` digest of tests/test_golden.py.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9a16ffaf3002e0442a0772c6b7401fc8deae6be9e669dddd65da7a045dd97382")
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "euleradic", "orbit", "--vertex", "1,1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "(0,0):V1,H1\n(0,0):V1,H2\n(0,0):H1,V1\n(0,0):H1,V2\n", "")
+    proc = subprocess.run([sys.executable, "-m", "euleradic", "orbit", "--vertex", "6,6",
+                           "--max-enum", "10"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error:")
 
 
 def test_closed_pipe_exits_two_without_a_traceback():

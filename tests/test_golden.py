@@ -71,6 +71,12 @@ DIGESTS = [
 ]
 
 
+# SHA-256 of the stdout of `orbit --vertex X,Y` at every vertex through
+# level 7, level by level and x ascending: 36 vertices, 46,233 lines.
+# Taken while orbit still printed one line per call.
+ALL_ORBITS_DIGEST = "d254621e2da49bea7ce2e8a368a6388cd07908deb4eeed835fc659e4857e1852"
+
+
 @pytest.mark.parametrize("argv,expected", README_EXAMPLES,
                          ids=[argv[0] for argv, _ in README_EXAMPLES])
 def test_readme_example(capsys, argv, expected):
@@ -86,6 +92,20 @@ def test_output_digest(capsys, argv, digest):
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_every_orbit_through_level_seven_digest(capsys):
+    digest = hashlib.sha256()
+    lines = 0
+    for n in range(8):
+        for x in range(n + 1):
+            rc = cli.main(["orbit", "--vertex", f"{x},{n - x}"])
+            captured = capsys.readouterr()
+            assert rc == 0 and captured.err == ""
+            digest.update(captured.out.encode())
+            lines += captured.out.count("\n")
+    assert lines == 46233
+    assert digest.hexdigest() == ALL_ORBITS_DIGEST
 
 
 # The benchmark's walk cells (base, end); each is run as given and mirrored.

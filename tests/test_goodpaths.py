@@ -1,5 +1,7 @@
 """Label scheme, goodness, and the two good-path counters."""
 
+import tracemalloc
+
 import pytest
 
 from fractions import Fraction
@@ -67,6 +69,31 @@ def test_edge_label_examples():
         edge_label(s12, (0, 2), "H", 1)
     with pytest.raises(ValueError):
         edge_label(s12, (4, 2), "H", 4)
+
+
+def test_label_steps_invert_edge_label():
+    s12 = LabelScheme(Vertex(1, 2))
+    for a in range(1, s12.label_count + 1):
+        step = s12.label_steps[a]
+        assert edge_label(s12, (1, 2), *step) == a
+    # Shared steps: H3 carries s_3 at base (0, 2) as well.
+    assert s12.label_steps[3] is LabelScheme(Vertex(0, 2)).label_steps[3]
+    for a in (0, s12.label_count + 1):
+        with pytest.raises(KeyError):
+            s12.label_steps[a]
+
+
+def test_a_label_scheme_at_a_large_base_allocates_little():
+    # 10**6 + 2 labels: the scheme holds their mask (about 122 KiB) and
+    # builds no label step until one is asked for.
+    tracemalloc.start()
+    try:
+        scheme = LabelScheme((10**6, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scheme.label_count == 10**6 + 2
+    assert peak < 2**19
 
 
 def test_is_good_examples():

@@ -136,11 +136,41 @@ def test_enumerated_steps_are_shared_and_equal_fresh_ones():
 
 def test_parse_path_leaves_the_step_table_alone():
     sizes = {d: len(table) for d, table in paths_module._STEPS.items()}
+    texts = len(paths_module._STEP_TEXT)
     path = parse_path(f"(0,0):H{10**9}")
     assert path.steps == (Step("H", 10**9),)
     with pytest.raises(PathValidationError):
         validate(path)
+    assert format_path(path) == f"(0,0):H{10**9}"
     assert {d: len(table) for d, table in paths_module._STEPS.items()} == sizes
+    assert len(paths_module._STEP_TEXT) == texts
+
+
+def _reference_format(path):
+    x, y = path.start
+    return f"({x},{y}):" + ",".join(f"{s.direction}{s.edge_index}" for s in path.steps)
+
+
+directions = st.sampled_from("HV")
+# Steps of three kinds: the library's shared steps, fresh ones parsed from
+# text, and fresh ones with an edge index far past any table.
+any_step = st.one_of(
+    st.builds(lambda d, k: paths_module._steps(d, k)[k], directions, st.integers(1, 30)),
+    st.builds(lambda d, k: parse_path(f"(0,0):{d}{k}").steps[0], directions,
+              st.integers(1, 10**6)),
+    st.builds(Step, directions, st.integers(10**9, 10**12)))
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.lists(any_step, max_size=10))
+def test_format_path_matches_the_per_step_text(x, y, steps):
+    path = EulerPath(Vertex(x, y), tuple(steps))
+    assert format_path(path) == _reference_format(path)
+
+
+def test_format_path_writes_each_step_as_itself():
+    # A step equal to a shared one but built otherwise keeps its own text.
+    path = EulerPath(Vertex(0, 0), (Step("H", 1), Step("V", True), Step("H", 2.0)))
+    assert format_path(path) == _reference_format(path) == "(0,0):H1,VTrue,H2.0"
 
 
 def test_text_round_trip():
