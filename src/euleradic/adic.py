@@ -122,10 +122,10 @@ class _Odometer:
     # xs[k] is the x coordinate after step k.  Levels below `lo` enter
     # vertices on an axis, which have one incoming edge; every level from
     # lo up enters a vertex (x, y) with x, y >= 1 and (y+1) + (x+1)
-    # incoming edges.  hs and vs are the shared step tables, grown here to
-    # the y+1 horizontal and x+1 vertical edges of the widest bundles below
-    # the end vertex (x, y), so advancing never grows them.  An end vertex
-    # on an axis has one root path, and the tables are left as they are.
+    # incoming edges.  hs and vs are the shared step tables; advancing grows
+    # one (in place, so hs and vs stay valid) only when it is about to read
+    # past its end, so a long path whose successor uses small edge indices
+    # grows nothing.
 
     __slots__ = ("steps", "xs", "ranks", "lo", "hs", "vs")
 
@@ -137,11 +137,8 @@ class _Odometer:
                       for k, (x, s) in enumerate(zip(self.xs, self.steps))]
         self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
                        len(self.steps))
-        x = self.xs[-1] if self.xs else 0
-        y = len(self.xs) - x
-        grow = x and y
-        self.hs = _steps(HORIZONTAL, y + 1 if grow else 0)
-        self.vs = _steps(VERTICAL, x + 1 if grow else 0)
+        self.hs = _steps(HORIZONTAL, 0)
+        self.vs = _steps(VERTICAL, 0)
 
     def _advance(self) -> bool:
         # Step to the successor in place; False when the path is maximal.
@@ -159,10 +156,16 @@ class _Odometer:
         # The horizontal bundle from (x-1, y) holds ranks 0..y, the
         # vertical bundle from (x, y-1) the ranks after it.
         if rank <= y:
-            steps[m] = self.hs[rank + 1]
+            try:
+                steps[m] = self.hs[rank + 1]
+            except IndexError:
+                steps[m] = _steps(HORIZONTAL, rank + 1)[rank + 1]
             px, py = x - 1, y
         else:
-            steps[m] = self.vs[rank - y]
+            try:
+                steps[m] = self.vs[rank - y]
+            except IndexError:
+                steps[m] = _steps(VERTICAL, rank - y)[rank - y]
             px, py = x, y - 1
         # Levels below m become the minimal path to the new parent,
         # V1 * py then H1 * px.  A parent on an axis has one root path,

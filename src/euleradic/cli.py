@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import checks
@@ -298,9 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process, built on the first main() call: parse_args
+    # leaves it as it was, and building it costs far more than a parse.
+    # set_defaults(func=_cmd_*) binds each command function when the parser
+    # is built, so rebinding a _cmd_* name later does not reach main().
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()

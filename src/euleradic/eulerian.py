@@ -134,13 +134,22 @@ def _alternating_sum(p: int, q: int, i: int, j: int) -> int:
     # (-1)^(i-t) C(p+q+t+1, t) C(p+q+i+j+2, i-t) (p+1+t)^(i+j), with the
     # binomials read as polynomials in their upper argument.  Every closed
     # form below is this sum; with p, q >= -1 it equals A_{p,q}(i, j).
+    # Both binomials are stepped upward in their lower argument, by
+    # C(m+1, k+1) = C(m, k) (m+1)/(k+1) and C(N, k+1) = C(N, k) (N-k)/(k+1)
+    # with N = p+q+i+j+2 (`big`); each division is exact for every integer
+    # m and N.  C(N, i-t) is not stepped downward in t: that divides by
+    # N-i+t+1, which is 0 for some negative q.
     n = p + q
+    big = n + i + j + 2
+    signed = [1]                        # (-1)^k C(big, k) for k = 0..i
+    for k in range(i):
+        signed.append(-signed[-1] * (big - k) // (k + 1))
+    e = i + j
     total = 0
-    for t in range(i + 1):
-        term = (generalized_binomial(n + t + 1, t)
-                * generalized_binomial(n + i + j + 2, i - t)
-                * (p + 1 + t) ** (i + j))
-        total += -term if (i - t) % 2 else term
+    rising = 1                          # C(n+t+1, t)
+    for t, c in enumerate(reversed(signed)):
+        total += rising * c * (p + 1 + t) ** e
+        rising = rising * (n + t + 2) // (t + 1)
     return total
 
 

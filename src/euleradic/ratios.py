@@ -3,10 +3,12 @@
 Ratios of the form A_{p,q}/A_{p,q-1} are monotone in each coordinate and
 converge, for fixed i as j grows, down to (p+q+i+1)/(p+q+1); the
 normalized dimension ratio dim(P,Q)/dim(R,Q) converges to 1/(n+1)! as Q
-moves deep into the interior, where n is the level of P.  Every quantity
-in this module is a fractions.Fraction; comparisons are exact, and all
-convergence tolerances used by callers are frozen rational constants, not
-floating-point epsilons.
+moves deep into the interior, where n is the level of P.  Every ratio and
+limit this module returns is a fractions.Fraction, and all convergence
+tolerances used by callers are frozen rational constants, not
+floating-point epsilons.  The monotonicity scan builds no Fraction: it
+compares ratios of positive counts by cross-multiplying exact integers,
+so it needs positive denominators.
 """
 
 from __future__ import annotations
@@ -53,20 +55,32 @@ def monotonicity_violations(num: CountTable, den: CountTable,
 
         r(i, j+1) <= r(i, j) <= (q+j)/(q+1+j) * r(i+1, j).
 
-    Tables must extend to (imax+1, jmax+1).  Returns the list of offending
-    (i, j, reason) triples; separated from check_monotonicity so tests can
+    Both sides are compared exactly by cross-multiplying, so every
+    denominator cell the window reads (den[i, j] for i <= imax+1 and
+    j <= jmax+1, but not the corner (imax+1, jmax+1)) must be positive;
+    a zero or negative one raises ValueError.  Tables must extend to
+    (imax+1, jmax+1).  Returns the list of offending (i, j, reason)
+    triples, row by row; separated from check_monotonicity so tests can
     feed deliberately perturbed tables.
     """
+    if imax < 0 or jmax < 0:
+        return []
+    for i, row in enumerate(den.cells[:imax + 2]):
+        if min(row[:jmax + 2 if i <= imax else jmax + 1]) <= 0:
+            raise ValueError(f"denominator row {i} holds a count <= 0 inside the "
+                             f"window; ratios need positive denominators")
     q = num.base.y
     violations: list[tuple[int, int, str]] = []
     for i in range(imax + 1):
+        n_row, n_next = num.cells[i], num.cells[i + 1]
+        d_row, d_next = den.cells[i], den.cells[i + 1]
         for j in range(jmax + 1):
-            r = Fraction(num[i, j], den[i, j])
-            nxt_j = Fraction(num[i, j + 1], den[i, j + 1])
-            if nxt_j > r:
+            n, d = n_row[j], d_row[j]
+            # r(i, j+1) > r(i, j)
+            if n_row[j + 1] * d > n * d_row[j + 1]:
                 violations.append((i, j, "ratio increased with j"))
-            bound = Fraction(q + j, q + 1 + j) * Fraction(num[i + 1, j], den[i + 1, j])
-            if r > bound:
+            # r(i, j) > (q+j)/(q+1+j) * r(i+1, j)
+            if (q + 1 + j) * n * d_next[j] > (q + j) * n_next[j] * d:
                 violations.append((i, j, "ratio exceeds scaled next-i ratio"))
     return violations
 

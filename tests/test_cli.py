@@ -248,6 +248,44 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["orbit", "--vertex", "1,1"], ["good", "--p", "0", "--q", "0",
+                                                    "--i", "1", "--j", "1"],
+                     ["table", "--p", "0", "--q", "0", "--imax", "1", "--jmax", "1"],
+                     ["encode", "--path", "(1,1):H1,V2,H3"]):
+            assert run(capsys, *argv)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    # build_parser itself still hands out a fresh parser.
+    assert build() is not build()
+
+
+def test_a_usage_error_leaves_the_parser_as_a_fresh_process_has_it(capsys):
+    argv = ["verify", "--suite", "identity", "--pmax", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "euleradic", *argv],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    # This one fails after --imax and --pmax have been read.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "identity", "--imax", "3", "--pmax", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert (fresh.returncode, fresh.stderr) == (0, "") and "i <= 8" in fresh.stdout
+    assert run(capsys, *argv) == (0, fresh.stdout, "")
+
+
 def test_resource_errors_exit_two(capsys):
     rc, _, err = run(capsys, "table", "--p", "0", "--q", "0",
                      "--imax", "99", "--jmax", "99", "--max-cells", "10")

@@ -1,6 +1,7 @@
 """Counting formulas: closed forms, recurrence, oracles, identity."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from math import comb, factorial
 
@@ -59,6 +60,27 @@ def test_kernel_at_bases_down_to_minus_one():
                 for j in range(9):
                     assert _alternating_sum(p, q, i, j) == rows[i][j]
                     assert _alternating_sum(q, p, j, i) == rows[i][j]
+
+
+def _literal_alternating_sum(p, q, i, j):
+    # The kernel's formula term by term, each binomial from
+    # generalized_binomial: sum over t = 0..i of
+    # (-1)^(i-t) C(p+q+t+1, t) C(p+q+i+j+2, i-t) (p+1+t)^(i+j).
+    return sum((-1) ** (i - t) * generalized_binomial(p + q + t + 1, t)
+               * generalized_binomial(p + q + i + j + 2, i - t)
+               * (p + 1 + t) ** (i + j) for t in range(i + 1))
+
+
+@given(st.integers(-1, 8), st.integers(-1, 8), st.integers(0, 40), st.integers(0, 40))
+def test_alternating_sum_is_its_formula(p, q, i, j):
+    assert _alternating_sum(p, q, i, j) == _literal_alternating_sum(p, q, i, j)
+
+
+@given(st.integers(-1, 8), st.integers(-15, 8), st.integers(0, 40))
+def test_alternating_sum_is_its_formula_at_negative_q(p, q, i):
+    # The coefficient identity reads the kernel at j = 0 with q down to -15,
+    # where C(p+q+t+1, t) and C(p+q+i+2, i-t) take negative upper arguments.
+    assert _alternating_sum(p, q, i, 0) == _literal_alternating_sum(p, q, i, 0)
 
 
 def test_skewed_offsets_sum_over_the_shorter_index():

@@ -1,8 +1,8 @@
 """Byte-exact CLI output: the README examples, and digests of long
 outputs whose text must not change when the code under them does (an
-orbit, every verify suite at its defaults and the benchmark's verify
-jobs).  The same holds for the text of the encode and transport results
-on the benchmark's walk cells."""
+orbit, every verify suite at its defaults and the benchmark's verify,
+converge, good and table jobs).  The same holds for the text of the
+encode and transport results on the benchmark's walk cells."""
 
 import hashlib
 
@@ -68,6 +68,21 @@ DIGESTS = [
     ("verify-monotonicity-24", ("verify", "--suite", "monotonicity", "--pmax", "2",
                                 "--qmax", "3", "--imax", "24", "--jmax", "24"),
      "7fad3b24791a12df1afda1a4e57a261b534d150953ea7e7250690d5a7c6439e9"),
+    # The benchmark's converge, good and JSON table jobs, taken before the
+    # closed form stepped its binomials and the monotonicity scan
+    # cross-multiplied.  (Its monotonicity-24, identity-18 and
+    # recurrence-16 jobs are pinned above.)
+    ("converge-218", ("converge", "--p", "2", "--q", "1", "--diag", "218", "--step", "20"),
+     "c57094d734539be2c177a18cbe07703fd24dd078b792b18307769c54829fb78b"),
+    ("converge-61", ("converge", "--p", "1", "--q", "1", "--diag", "61", "--step", "5"),
+     "def71dd25d87e849d98d4bf99702fd1954bdf03ced53e894a9eae0372e80a80d"),
+    ("good-101", ("good", "--p", "0", "--q", "0", "--i", "101", "--j", "101"),
+     "aff33769cf45cea4f5092f2c273de965237e0fb14adcf00e30ff54814aa4f15a"),
+    ("good-3-3", ("good", "--p", "3", "--q", "3", "--i", "12", "--j", "12"),
+     "aa9515f107860e970f502aeaa518b5cf9d401b03bbc8a681228e0e2e29b85506"),
+    ("table-json-80", ("table", "--p", "1", "--q", "2", "--imax", "80", "--jmax", "80",
+                       "--format", "json"),
+     "98accd11ded17d8b7252549d71bcb52484eea08a1450bde2a14aa07563f95662"),
 ]
 
 

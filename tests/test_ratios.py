@@ -1,9 +1,12 @@
 """Ratio monotonicity, directional limits, and dimension-ratio convergence."""
 
+import random
+
 import pytest
 
 from fractions import Fraction
 
+import euleradic.ratios as ratios
 from euleradic import (
     ORIGIN,
     check_monotonicity,
@@ -65,6 +68,66 @@ def test_monotonicity_checker_catches_perturbation():
     num.cells[0][2] += 1
     violations = monotonicity_violations(num, den, 6, 6)
     assert (0, 1, "ratio increased with j") in violations
+
+
+def _fraction_violations(num, den, imax, jmax):
+    # The inequality read literally, one Fraction per ratio.
+    q = num.base.y
+    found = []
+    for i in range(imax + 1):
+        for j in range(jmax + 1):
+            r = Fraction(num[i, j], den[i, j])
+            if Fraction(num[i, j + 1], den[i, j + 1]) > r:
+                found.append((i, j, "ratio increased with j"))
+            if r > Fraction(q + j, q + 1 + j) * Fraction(num[i + 1, j], den[i + 1, j]):
+                found.append((i, j, "ratio exceeds scaled next-i ratio"))
+    return found
+
+
+def test_monotonicity_violations_equal_the_fraction_reading():
+    rng = random.Random(8)
+    with_violations = 0
+    for _ in range(200):
+        p, q = rng.randint(0, 3), rng.randint(1, 4)
+        imax, jmax = rng.randint(0, 8), rng.randint(0, 8)
+        num = recurrence_table((p, q), imax + 1, jmax + 1)
+        den = recurrence_table((p, q - 1), imax + 1, jmax + 1)
+        for table in (num, den):
+            # Nudge a few cells by a little, keeping every count positive.
+            for _ in range(rng.randint(0, 4)):
+                i, j = rng.randint(0, imax + 1), rng.randint(0, jmax + 1)
+                cell = table.cells[i][j]
+                table.cells[i][j] = max(1, cell + rng.randint(-2, 2) * (cell // 50 + 1))
+        expected = _fraction_violations(num, den, imax, jmax)
+        assert monotonicity_violations(num, den, imax, jmax) == expected
+        with_violations += bool(expected)
+    assert 20 < with_violations < 200
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (2, 4), (4, 1), (3, 4)])
+@pytest.mark.parametrize("value", [0, -1])
+def test_monotonicity_violations_need_positive_denominators(cell, value):
+    # Window 3x3: the scan reads den up to (4, 3) and (3, 4).
+    num = recurrence_table((1, 2), 4, 4)
+    den = recurrence_table((1, 1), 4, 4)
+    den.cells[cell[0]][cell[1]] = value
+    with pytest.raises(ValueError):
+        monotonicity_violations(num, den, 3, 3)
+
+
+def test_monotonicity_violations_skip_the_unread_corner():
+    num = recurrence_table((1, 2), 4, 4)
+    den = recurrence_table((1, 1), 4, 4)
+    den.cells[4][4] = 0
+    assert monotonicity_violations(num, den, 3, 3) == []
+
+
+def test_monotonicity_scan_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the monotonicity scan built a Fraction")
+
+    monkeypatch.setattr(ratios, "Fraction", refuse)
+    assert check_monotonicity((2, 3), 12, 12) == []
 
 
 def test_directional_limit_values():
