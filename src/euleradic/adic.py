@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetError, MaximalPathError
 from .eulerian import ORIGIN, Vertex, _as_vertex, dim_between
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _steps, validate)
+                    VERTICAL, _STEPS, validate)
 
 
 class IncomingEdge(NamedTuple):
@@ -93,8 +93,8 @@ def compare(a: EulerPath, b: EulerPath) -> int:
             y -= 1
 
 
-_H1 = _steps(HORIZONTAL, 1)[1]
-_V1 = _steps(VERTICAL, 1)[1]
+_HS, _VS = _STEPS[HORIZONTAL], _STEPS[VERTICAL]
+_H1, _V1 = _HS[1], _VS[1]
 
 
 def _minimal_steps(x: int, y: int) -> list[Step]:
@@ -111,7 +111,7 @@ def maximal_path(v) -> EulerPath:
     """The greatest root path to v: last incoming edge at every level, which
     is H1 along the x axis and then the last vertical edge V(x+1) up."""
     x, y = _as_vertex(v)
-    last_v = (_steps(VERTICAL, x + 1)[x + 1],) if y else ()
+    last_v = (_VS[x + 1],) if y else ()
     return EulerPath(ORIGIN, (_H1,) * x + last_v * y)
 
 
@@ -122,12 +122,11 @@ class _Odometer:
     # xs[k] is the x coordinate after step k.  Levels below `lo` enter
     # vertices on an axis, which have one incoming edge; every level from
     # lo up enters a vertex (x, y) with x, y >= 1 and (y+1) + (x+1)
-    # incoming edges.  hs and vs are the shared step tables; advancing grows
-    # one (in place, so hs and vs stay valid) only when it is about to read
-    # past its end, so a long path whose successor uses small edge indices
-    # grows nothing.
+    # incoming edges.  Advancing reads its new steps from the shared step
+    # tables, which hold only the edge indices looked up, so a long path
+    # whose successor uses small edge indices adds nothing to them.
 
-    __slots__ = ("steps", "xs", "ranks", "lo", "hs", "vs")
+    __slots__ = ("steps", "xs", "ranks", "lo")
 
     def __init__(self, steps):
         # `steps` must be a valid root path; nothing is checked here.
@@ -137,8 +136,6 @@ class _Odometer:
                       for k, (x, s) in enumerate(zip(self.xs, self.steps))]
         self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
                        len(self.steps))
-        self.hs = _steps(HORIZONTAL, 0)
-        self.vs = _steps(VERTICAL, 0)
 
     def _advance(self) -> bool:
         # Step to the successor in place; False when the path is maximal.
@@ -156,16 +153,10 @@ class _Odometer:
         # The horizontal bundle from (x-1, y) holds ranks 0..y, the
         # vertical bundle from (x, y-1) the ranks after it.
         if rank <= y:
-            try:
-                steps[m] = self.hs[rank + 1]
-            except IndexError:
-                steps[m] = _steps(HORIZONTAL, rank + 1)[rank + 1]
+            steps[m] = _HS[rank + 1]
             px, py = x - 1, y
         else:
-            try:
-                steps[m] = self.vs[rank - y]
-            except IndexError:
-                steps[m] = _steps(VERTICAL, rank - y)[rank - y]
+            steps[m] = _VS[rank - y]
             px, py = x, y - 1
         # Levels below m become the minimal path to the new parent,
         # V1 * py then H1 * px.  A parent on an axis has one root path,

@@ -13,11 +13,12 @@ bijectively onto that of another.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import NamedTuple
 
 from .errors import DecodeError
 from .goodpaths import LabelScheme, _require_base
-from .paths import EulerPath, HORIZONTAL, VERTICAL, _steps, validate
+from .paths import EulerPath, HORIZONTAL, VERTICAL, _STEPS, _Shared, validate
 
 KIND_MARKED = "s"
 KIND_H_UNMARKED = "h"
@@ -37,19 +38,11 @@ class EncodingSymbol(NamedTuple):
 
 # The symbols encode builds, shared: _SYMBOLS[kind][k] is
 # EncodingSymbol(kind, k).  A symbol is immutable, so one instance serves
-# every sequence.  A table grows only to an index encode has just taken
-# from a validated step; parse_code builds fresh symbols, so text from
-# outside cannot grow one.
-_SYMBOLS: dict[str, list] = {KIND_MARKED: [None], KIND_H_UNMARKED: [None],
-                             KIND_V_UNMARKED: [None]}
-
-
-def _symbols(kind: str, size: int) -> list[EncodingSymbol]:
-    """The shared table of `kind`, holding entries 1..size at least."""
-    table = _SYMBOLS[kind]
-    if len(table) <= size:
-        table.extend(EncodingSymbol(kind, k) for k in range(len(table), size + 1))
-    return table
+# every sequence.  encode looks up only indices it has just taken from a
+# validated step; parse_code builds fresh symbols, so text from outside
+# adds none.
+_SYMBOLS = {kind: _Shared(partial(EncodingSymbol, kind))
+            for kind in (KIND_MARKED, KIND_H_UNMARKED, KIND_V_UNMARKED)}
 
 
 class EncodingSequence(NamedTuple):
@@ -80,7 +73,7 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
             below = min(labeled, idx - 1)
             kind = _UNMARKED_KIND[direction]
             index = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
-        symbols.append(_symbols(kind, index)[index])
+        symbols.append(_SYMBOLS[kind][index])
     return EncodingSequence(sum(scheme.base), tuple(symbols))
 
 
@@ -145,7 +138,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                     f"symbol {pos}: only {seen} unmarked "
                     f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
                     f"edges at {(x, y)}, need position {index}")
-            step = _steps(direction, idx)[idx]
+            step = _STEPS[direction][idx]
         else:
             raise DecodeError(f"symbol {pos}: unknown kind {kind!r}")
         steps.append(step)

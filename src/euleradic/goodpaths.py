@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Iterator
 
@@ -24,27 +25,15 @@ from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
                        _count, _fill)
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _enum_args, _steps, multiplicity, validate)
+                    VERTICAL, _STEPS, _Shared, _enum_args, multiplicity,
+                    validate)
 
 
-class _LabelSteps(dict):
-    # Label a -> the shared step along the edge that carries s_a, derived
-    # from the scheme's bundles the first time a is looked up, so a scheme
-    # holds only the label steps it has been asked for.
-
-    __slots__ = ("bundles",)
-
-    def __init__(self, bundles: dict):
-        super().__init__()
-        self.bundles = bundles
-
-    def __missing__(self, a: int) -> Step:
-        first_v, labeled_v = self.bundles[VERTICAL]
-        if not 1 <= a <= first_v + labeled_v:
-            raise KeyError(a)
-        direction, k = (HORIZONTAL, a) if a <= first_v else (VERTICAL, a - first_v)
-        step = self[a] = _steps(direction, k)[k]
-        return step
+def _label_step(p: int, q: int, a: int) -> Step:
+    # The shared step along the edge that carries s_a at base (p, q).
+    if not 1 <= a <= p + q + 2:
+        raise KeyError(a)
+    return _STEPS[HORIZONTAL][a] if a <= q + 1 else _STEPS[VERTICAL][a - q - 1]
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,7 @@ class LabelScheme:
         p, q = self.base
         bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
         object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "label_steps", _LabelSteps(bundles))
+        object.__setattr__(self, "label_steps", _Shared(partial(_label_step, p, q)))
         object.__setattr__(self, "full_mask", (1 << self.label_count) - 1)
 
     @property

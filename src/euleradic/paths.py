@@ -11,7 +11,9 @@ the closed form or the recurrence.
 
 from __future__ import annotations
 
+import operator
 import re
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, PathValidationError
@@ -49,27 +51,40 @@ class EulerPath(NamedTuple):
         return Vertex(x + dx, y + len(self.steps) - dx)
 
 
+class _Shared(dict):
+    # A shared table of immutable values: looking up a missing key builds
+    # make(key), stores it and returns it, so the table holds exactly the
+    # keys the library has looked up, whatever their size.  A key must be an
+    # integer, as a list index must: a float raises TypeError and is never
+    # stored, and an int subclass is stored as its plain int.
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        key = operator.index(key)
+        value = self[key] = self.make(key)
+        return value
+
+
+def _new_step(direction: str, k: int) -> Step:
+    step = Step(direction, k)
+    _STEP_TEXT[id(step)] = f"{direction}{k}"
+    return step
+
+
 # The steps the library builds, shared: _STEPS[d][k] is Step(d, k).  A
-# Step is immutable, so one instance serves every path.  A table grows
-# only to an edge index the library is about to put in a path, checked
-# against its bundle; parse_path builds fresh steps, so text from outside
-# cannot grow one.  _STEP_TEXT maps the id of each shared step to its
-# text in format_path; shared steps live as long as their table, so no
-# other object can hold one of these ids.
-_STEPS: dict[str, list] = {HORIZONTAL: [None], VERTICAL: [None]}
+# Step is immutable, so one instance serves every path.  The library looks
+# up only edge indices it is about to put in a path, checked against their
+# bundle; parse_path builds fresh steps, so text from outside adds none.
+# _STEP_TEXT maps the id of each shared step to its text in format_path;
+# shared steps live as long as their table, so no other object can hold
+# one of these ids.
 _STEP_TEXT: dict[int, str] = {}
-
-
-def _steps(direction: str, size: int) -> list[Step]:
-    """The shared table of `direction`: entries 1..size (at least) are the
-    steps along a bundle of `size` edges."""
-    table = _STEPS[direction]
-    if len(table) <= size:
-        new = [Step(direction, k) for k in range(len(table), size + 1)]
-        table += new
-        _STEP_TEXT.update((id(step), f"{direction}{step.edge_index}")
-                          for step in new)
-    return table
+_STEPS = {d: _Shared(partial(_new_step, d)) for d in (HORIZONTAL, VERTICAL)}
 
 
 def multiplicity(v, direction: str) -> int:
@@ -118,9 +133,9 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
     # Enumeration order at a vertex: all horizontal edges by ascending
     # index, then all vertical edges by ascending index.  The walk is at
     # (p + a, q + b); options[a][b] lists the steps it may take there.
-    hs = _steps(HORIZONTAL, q + j + 1) if i else []
-    vs = _steps(VERTICAL, p + i + 1) if j else []
-    options = [[(hs[1:q + b + 2] if a < i else []) + (vs[1:p + a + 2] if b < j else [])
+    hs = [_STEPS[HORIZONTAL][k] for k in range(1, q + j + 2)] if i else []
+    vs = [_STEPS[VERTICAL][k] for k in range(1, p + i + 2)] if j else []
+    options = [[(hs[:q + b + 1] if a < i else []) + (vs[:p + a + 1] if b < j else [])
                 for b in range(j + 1)] for a in range(i + 1)]
     steps: list[Step] = [None] * total
     a = b = 0

@@ -175,8 +175,7 @@ def test_successor_of_a_long_path_grows_no_step_table():
     before = {d: len(tables[d]) for d in "HV"}
     x = parse_path("(0,0):V1," + ",".join(["H1"] * 100000))
     assert successor(x) == parse_path("(0,0):V1,H2," + ",".join(["H1"] * 99999))
-    for d in "HV":
-        assert len(tables[d]) <= max(before[d], 1000)
+    assert sum(len(tables[d]) - before[d] for d in "HV") <= 2
 
 
 def test_orbit_advances_by_successor_and_validates_nothing(monkeypatch):

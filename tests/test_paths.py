@@ -155,7 +155,7 @@ directions = st.sampled_from("HV")
 # Steps of three kinds: the library's shared steps, fresh ones parsed from
 # text, and fresh ones with an edge index far past any table.
 any_step = st.one_of(
-    st.builds(lambda d, k: paths_module._steps(d, k)[k], directions, st.integers(1, 30)),
+    st.builds(lambda d, k: paths_module._STEPS[d][k], directions, st.integers(1, 30)),
     st.builds(lambda d, k: parse_path(f"(0,0):{d}{k}").steps[0], directions,
               st.integers(1, 10**6)),
     st.builds(Step, directions, st.integers(10**9, 10**12)))
