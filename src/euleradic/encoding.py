@@ -110,39 +110,44 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
         raise ValueError(f"code was taken at level {code.base_level}, "
                          f"base {tuple(scheme.base)} has level {p + q}")
     x, y = scheme.base
-    label_steps = scheme.label_steps
+    bundles = scheme.bundles
     consumed = 0
     steps: list = []
     for pos, (kind, index) in enumerate(code.symbols, start=1):
         if kind == KIND_MARKED:
-            a = index
-            if not 1 <= a <= p + q + 2:
-                raise DecodeError(f"symbol {pos}: no label s_{a} at a level-"
+            if not 1 <= index <= p + q + 2:
+                raise DecodeError(f"symbol {pos}: no label s_{index} at a level-"
                                   f"{p + q} base")
-            if consumed >> (a - 1) & 1:
-                raise DecodeError(f"symbol {pos}: label s_{a} already consumed")
-            consumed |= 1 << (a - 1)
-            step = label_steps[a]
+            if consumed >> (index - 1) & 1:
+                raise DecodeError(f"symbol {pos}: label s_{index} already consumed")
+            consumed |= 1 << (index - 1)
+            direction = HORIZONTAL if index <= q + 1 else VERTICAL
+            idx = index - bundles[direction][0]
         elif kind in _UNMARKED_DIRECTION:
+            # encode's position, inverted: the unmarked edges of a bundle
+            # are its c consumed labeled edges, then every edge past the
+            # labeled ones.
             direction = _UNMARKED_DIRECTION[kind]
-            first, labeled = scheme.bundles[direction]
-            size = y + 1 if direction == HORIZONTAL else x + 1
-            seen = 0
-            for idx in range(1, size + 1):
-                if idx > labeled or consumed >> (first + idx - 1) & 1:
-                    seen += 1
-                    if seen == index:
-                        break
+            first, labeled = bundles[direction]
+            used = consumed >> first & ((1 << labeled) - 1)
+            c = used.bit_count()
+            if 1 <= index <= c:
+                # The index-th consumed edge from edge 1: the index-th
+                # lowest 1 bit of `used`, which has as many bits above it
+                # as rsplit leaves in front of it.
+                idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
             else:
-                raise DecodeError(
-                    f"symbol {pos}: only {seen} unmarked "
-                    f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
-                    f"edges at {(x, y)}, need position {index}")
-            step = _STEPS[direction][idx]
+                idx = labeled + index - c
+                size = y + 1 if direction == HORIZONTAL else x + 1
+                if not labeled < idx <= size:
+                    raise DecodeError(
+                        f"symbol {pos}: only {c + size - labeled} unmarked "
+                        f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
+                        f"edges at {(x, y)}, need position {index}")
         else:
             raise DecodeError(f"symbol {pos}: unknown kind {kind!r}")
-        steps.append(step)
-        if step.direction == HORIZONTAL:
+        steps.append(_STEPS[direction][idx])
+        if direction == HORIZONTAL:
             x += 1
         else:
             y += 1

@@ -17,23 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import comb
 from typing import Iterator
 
 from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
                        _count, _fill)
-from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _STEPS, _Shared, _enum_args, multiplicity,
-                    validate)
-
-
-def _label_step(p: int, q: int, a: int) -> Step:
-    # The shared step along the edge that carries s_a at base (p, q).
-    if not 1 <= a <= p + q + 2:
-        raise KeyError(a)
-    return _STEPS[HORIZONTAL][a] if a <= q + 1 else _STEPS[VERTICAL][a - q - 1]
+from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, VERTICAL,
+                    _enum_args, multiplicity, validate)
 
 
 @dataclass(frozen=True)
@@ -45,15 +36,12 @@ class LabelScheme:
     k <= p+1 carries s_{q+1+k}, and every other edge is unlabeled.  In a
     mask of labels, bit a-1 stands for s_a, so `bundles` maps each
     direction to its first mask bit and its labeled-edge count:
-    H to (0, q+1) and V to (q+1, p+1).  The inverse, `label_steps[a]`
-    for 1 <= a <= p+q+2, is the step along the edge that carries s_a,
-    built when first looked up, and `full_mask` has all p+q+2 label bits
-    set.
+    H to (0, q+1) and V to (q+1, p+1).  `full_mask` has all p+q+2 label
+    bits set.
     """
 
     base: Vertex
     bundles: dict = field(init=False, repr=False, compare=False)
-    label_steps: dict = field(init=False, repr=False, compare=False)
     full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,7 +49,6 @@ class LabelScheme:
         p, q = self.base
         bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
         object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "label_steps", _Shared(partial(_label_step, p, q)))
         object.__setattr__(self, "full_mask", (1 << self.label_count) - 1)
 
     @property

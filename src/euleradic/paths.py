@@ -113,6 +113,9 @@ def validate(path: EulerPath) -> Vertex:
         else:
             raise PathValidationError(
                 f"step {m}: unknown direction {direction!r}")
+        if not isinstance(idx, int):
+            raise PathValidationError(
+                f"step {m}: edge index {idx!r} is not an integer")
         if not 1 <= idx <= size:
             raise PathValidationError(
                 f"step {m}: edge index {idx} outside bundle of "
@@ -133,8 +136,9 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
     # Enumeration order at a vertex: all horizontal edges by ascending
     # index, then all vertical edges by ascending index.  The walk is at
     # (p + a, q + b); options[a][b] lists the steps it may take there.
-    hs = [_STEPS[HORIZONTAL][k] for k in range(1, q + j + 2)] if i else []
-    vs = [_STEPS[VERTICAL][k] for k in range(1, p + i + 2)] if j else []
+    # The steps are the walk's own, so the shared tables stay as they are.
+    hs = [Step(HORIZONTAL, k) for k in range(1, q + j + 2)] if i else []
+    vs = [Step(VERTICAL, k) for k in range(1, p + i + 2)] if j else []
     options = [[(hs[:q + b + 1] if a < i else []) + (vs[:p + a + 1] if b < j else [])
                 for b in range(j + 1)] for a in range(i + 1)]
     steps: list[Step] = [None] * total

@@ -1,5 +1,7 @@
 """Encoding sequences, decoding, and transport between bases."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -234,9 +236,14 @@ def test_parse_code_rejects_corrupted_text(data, code):
 # Property tests on random bases with p, q <= 4 and random valid paths.
 
 @st.composite
-def based_paths(draw, max_steps=30):
-    """A scheme and a valid path of up to max_steps steps from its base."""
-    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+def based_paths(draw, max_steps=30, level=None):
+    """A scheme and a valid path of up to max_steps steps from its base,
+    which has p, q <= 4 or the given level."""
+    if level is None:
+        p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    else:
+        p = draw(st.integers(0, level))
+        q = level - p
     x, y = p, q
     steps = []
     for horizontal in draw(st.lists(st.booleans(), max_size=max_steps)):
@@ -316,3 +323,88 @@ def test_transport_of_deep_good_paths_is_invertible(case):
     assert image.start == dst.base and image.end() == path.end()
     assert is_good(dst, image)[0]
     assert transport(dst, src, image) == path
+
+
+def _reference_decode(scheme, code):
+    # decode as it was before it inverted encode's arithmetic: an unmarked
+    # symbol's edge is found by scanning its bundle from edge 1.  Kept as
+    # an oracle, so it shares no arithmetic with decode.
+    p, q = scheme.base
+    x, y = scheme.base
+    consumed = 0
+    steps = []
+    for pos, (kind, index) in enumerate(code.symbols, start=1):
+        if kind == "s":
+            a = index
+            if not 1 <= a <= p + q + 2:
+                raise DecodeError(f"symbol {pos}: no label s_{a} at a level-"
+                                  f"{p + q} base")
+            if consumed >> (a - 1) & 1:
+                raise DecodeError(f"symbol {pos}: label s_{a} already consumed")
+            consumed |= 1 << (a - 1)
+            step = Step("H", a) if a <= q + 1 else Step("V", a - q - 1)
+        elif kind in ("h", "v"):
+            direction = "H" if kind == "h" else "V"
+            first, labeled = scheme.bundles[direction]
+            size = y + 1 if direction == "H" else x + 1
+            seen = 0
+            for idx in range(1, size + 1):
+                if idx > labeled or consumed >> (first + idx - 1) & 1:
+                    seen += 1
+                    if seen == index:
+                        break
+            else:
+                raise DecodeError(
+                    f"symbol {pos}: only {seen} unmarked "
+                    f"{'horizontal' if direction == 'H' else 'vertical'} "
+                    f"edges at {(x, y)}, need position {index}")
+            step = Step(direction, idx)
+        else:
+            raise DecodeError(f"symbol {pos}: unknown kind {kind!r}")
+        steps.append(step)
+        if step.direction == "H":
+            x += 1
+        else:
+            y += 1
+    return EulerPath(scheme.base, tuple(steps))
+
+
+def _outcome(fn, scheme, code):
+    try:
+        return fn(scheme, code)
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+@st.composite
+def decode_cases(draw):
+    """A scheme with p, q <= 4 and a code at its level: either random
+    symbols (repeated or out-of-range labels, positions from -1, an
+    unknown kind), or the encoding of a path from another base of the
+    level, most of which decode."""
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        symbols = draw(st.lists(st.builds(EncodingSymbol, st.sampled_from("shvx"),
+                                          st.integers(-1, 8)), max_size=10))
+        return _scheme(p, q), EncodingSequence(p + q, tuple(symbols))
+    other, path = draw(based_paths(max_steps=10, level=p + q))
+    return _scheme(p, q), encode(other, path)
+
+
+@given(decode_cases())
+def test_decode_matches_the_bundle_scan(case):
+    scheme, code = case
+    assert _outcome(decode, scheme, code) == _outcome(_reference_decode, scheme, code)
+
+
+def test_decode_at_a_large_base_does_not_scan_bundles():
+    # Each v1 after s1 is the first edge past 10**6 + 1 labeled ones; the
+    # bundle scan took about 2.5 s for this code.  h2 after s1,s2,s3 is
+    # the second consumed edge of a bundle with 10**6 + 1 labeled ones.
+    start = time.perf_counter()
+    path = decode(LabelScheme((10**6, 0)), parse_code("n=1000000;s1" + ",v1" * 20))
+    other = decode(LabelScheme((0, 10**6)), parse_code("n=1000000;s1,s2,s3,h2"))
+    elapsed = time.perf_counter() - start
+    assert path == _path((10**6, 0), [("H", 1)] + [("V", 10**6 + 2)] * 20)
+    assert other == _path((0, 10**6), [("H", 1), ("H", 2), ("H", 3), ("H", 2)])
+    assert elapsed < 0.5

@@ -9,12 +9,16 @@ from math import comb
 
 from euleradic import (
     BudgetError,
+    DecodeError,
+    EncodingSequence,
+    EncodingSymbol,
     LabelScheme,
     Vertex,
     bad_path_bound,
     closed_form,
     count_good_dp,
     count_good_enumeration,
+    decode,
     edge_label,
     good_count_table,
     good_fraction,
@@ -71,21 +75,22 @@ def test_edge_label_examples():
         edge_label(s12, (4, 2), "H", 4)
 
 
-def test_label_steps_invert_edge_label():
-    s12 = LabelScheme(Vertex(1, 2))
-    for a in range(1, s12.label_count + 1):
-        step = s12.label_steps[a]
-        assert edge_label(s12, (1, 2), *step) == a
-    # Shared steps: H3 carries s_3 at base (0, 2) as well.
-    assert s12.label_steps[3] is LabelScheme(Vertex(0, 2)).label_steps[3]
-    for a in (0, s12.label_count + 1):
-        with pytest.raises(KeyError):
-            s12.label_steps[a]
+def test_decoding_one_label_takes_the_edge_carrying_it():
+    # decode of the one-symbol code s_a inverts edge_label at the base.
+    for base in [(0, 0), (1, 2), (3, 0), (2, 5)]:
+        scheme = LabelScheme(Vertex(*base))
+        for a in range(1, scheme.label_count + 1):
+            code = EncodingSequence(sum(base), (EncodingSymbol("s", a),))
+            (step,) = decode(scheme, code).steps
+            assert edge_label(scheme, base, *step) == a
+        for a in (0, scheme.label_count + 1):
+            with pytest.raises(DecodeError, match=f"no label s_{a} "):
+                decode(scheme, EncodingSequence(sum(base), (EncodingSymbol("s", a),)))
 
 
 def test_a_label_scheme_at_a_large_base_allocates_little():
     # 10**6 + 2 labels: the scheme holds their mask (about 122 KiB) and
-    # builds no label step until one is asked for.
+    # no step per label.
     tracemalloc.start()
     try:
         scheme = LabelScheme((10**6, 0))

@@ -1,5 +1,10 @@
 """The shared Step and EncodingSymbol tables hold only what was looked up."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +17,7 @@ from euleradic import (
     LabelScheme,
     MaximalPathError,
     ORIGIN,
+    PathValidationError,
     Step,
     Vertex,
     decode,
@@ -21,6 +27,7 @@ from euleradic import (
     parse_code,
     parse_path,
     successor,
+    validate,
 )
 
 
@@ -67,8 +74,8 @@ def test_a_table_key_is_a_plain_int():
 
 
 def _encode_a_float_index_on_an_unmarked_edge():
-    # 20,000 V1 steps then H20001.0 from (0, 0): the last edge is unmarked
-    # and passes validate, so encode looks up h-symbol 20000.0.
+    # 20,000 V1 steps then H20001.0 from (0, 0): the last edge is unmarked,
+    # and validate refuses its index before encode looks up a symbol.
     steps = (Step("V", 1),) * 20000 + (Step("H", 20001.0),)
     return encode(LabelScheme((0, 0)), EulerPath(ORIGIN, steps))
 
@@ -77,22 +84,64 @@ def _encode_a_float_index_on_an_unmarked_edge():
 # was: a stored float key would print as "V3.0" in later valid output.  A
 # float equal to a key already stored finds that key's entry, so these
 # indices are ones no other test looks up.
-@pytest.mark.parametrize("call", [
-    lambda: maximal_path((876543.0, 1)),
-    lambda: LabelScheme((0, 2)).label_steps[3.0],
-    _encode_a_float_index_on_an_unmarked_edge,
-    lambda: paths_module._STEPS["V"][876545.0],
-    lambda: encoding_module._SYMBOLS["h"][876546.0],
-], ids=["maximal_path", "label_steps", "encode", "steps", "symbols"])
-def test_a_float_index_raises_type_error_and_stores_nothing(call):
-    # The symbols of the valid steps before the float in the encode case
-    # are stored first; store them here so only the float counts.
-    encode(LabelScheme((0, 0)), parse_path("(0,0):V1,V1"))
+@pytest.mark.parametrize("call, error", [
+    (lambda: maximal_path((876543.0, 1)), TypeError),
+    (_encode_a_float_index_on_an_unmarked_edge, PathValidationError),
+    (lambda: paths_module._STEPS["V"][876545.0], TypeError),
+    (lambda: encoding_module._SYMBOLS["h"][876546.0], TypeError),
+], ids=["maximal_path", "encode", "steps", "symbols"])
+def test_a_float_index_raises_type_error_and_stores_nothing(call, error):
     before = _table_entries()
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+    with pytest.raises(error, match="cannot be interpreted as an integer"
+                       if error is TypeError else "is not an integer"):
         call()
     assert _table_entries() == before
     _check_tables()
+
+
+_FLOAT_PATH = EulerPath(ORIGIN, (Step("V", 1), Step("H", 2.0)))
+
+
+def _check_float_path_refused():
+    with pytest.raises(PathValidationError, match="step 2: edge index 2.0 is not"):
+        validate(_FLOAT_PATH)
+    with pytest.raises(PathValidationError, match="step 2: edge index 2.0 is not"):
+        encode(LabelScheme((0, 0)), _FLOAT_PATH)
+
+
+def test_a_float_index_is_refused_whatever_ran_before():
+    # A table lookup of 2.0 finds the entry of 2 once one is stored, so
+    # only validate can make the answer independent of process history.
+    _check_float_path_refused()
+    assert encode(LabelScheme((0, 0)), parse_path("(0,0):V1,H2")) \
+        == parse_code("n=0;s2,h1")
+    _check_float_path_refused()
+
+
+def test_a_float_index_is_refused_in_a_fresh_process():
+    script = ("from euleradic import *\n"
+              "path = EulerPath(ORIGIN, (Step('V', 1), Step('H', 2.0)))\n"
+              "for call in (lambda: validate(path),\n"
+              "             lambda: encode(LabelScheme((0, 0)), path)):\n"
+              "    try:\n"
+              "        call()\n"
+              "    except PathValidationError as exc:\n"
+              "        print(exc)\n")
+    src = str(Path(paths_module.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "step 2: edge index 2.0 is not an integer\n" * 2
+
+
+def test_enumeration_leaves_the_shared_tables_alone():
+    def sizes():
+        return ([len(t) for t in paths_module._STEPS.values()],
+                len(paths_module._STEP_TEXT))
+
+    before = sizes()
+    assert sum(1 for _ in enumerate_paths((10**5, 0), (0, 1))) == 10**5 + 1
+    assert sizes() == before
 
 
 # Enumeration offsets stay at 2 or below: at base (3, 3) that is 3,552
