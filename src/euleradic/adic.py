@@ -11,9 +11,11 @@ successor map advances the odometer: it increments the lowest digit that
 can still grow and resets everything below it to the minimal path to the
 new parent, in place and in amortized O(1) time per path.  `orbit`
 starts the odometer at the minimal path and advances it through
-`successor`, which resumes the odometer behind a path it has just built,
-so no path that `orbit` yields is parsed or validated.  The symmetric
-measure assigns exactly 1/(n+1)! to every cylinder of length n.
+`successor`, handing over the odometer with each path, so no path that
+`orbit` yields is parsed or validated.  The odometer builds a fresh step
+for each digit it raises, so nothing it builds outlives the paths that
+hold it.  The symmetric measure assigns exactly 1/(n+1)! to every
+cylinder of length n.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from itertools import accumulate
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .errors import BudgetError, MaximalPathError
+from .errors import MaximalPathError
 from .eulerian import ORIGIN, Vertex, _as_vertex, dim_between
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _STEPS, validate)
+                    VERTICAL, _enum_args, validate)
 
 
 class IncomingEdge(NamedTuple):
@@ -93,8 +95,7 @@ def compare(a: EulerPath, b: EulerPath) -> int:
             y -= 1
 
 
-_HS, _VS = _STEPS[HORIZONTAL], _STEPS[VERTICAL]
-_H1, _V1 = _HS[1], _VS[1]
+_H1, _V1 = Step(HORIZONTAL, 1), Step(VERTICAL, 1)
 
 
 def _minimal_steps(x: int, y: int) -> list[Step]:
@@ -111,7 +112,7 @@ def maximal_path(v) -> EulerPath:
     """The greatest root path to v: last incoming edge at every level, which
     is H1 along the x axis and then the last vertical edge V(x+1) up."""
     x, y = _as_vertex(v)
-    last_v = (_VS[x + 1],) if y else ()
+    last_v = (Step(VERTICAL, x + 1),) if y else ()
     return EulerPath(ORIGIN, (_H1,) * x + last_v * y)
 
 
@@ -122,9 +123,9 @@ class _Odometer:
     # xs[k] is the x coordinate after step k.  Levels below `lo` enter
     # vertices on an axis, which have one incoming edge; every level from
     # lo up enters a vertex (x, y) with x, y >= 1 and (y+1) + (x+1)
-    # incoming edges.  Advancing reads its new steps from the shared step
-    # tables, which hold only the edge indices looked up, so a long path
-    # whose successor uses small edge indices adds nothing to them.
+    # incoming edges.  Advancing builds one fresh step for the level whose
+    # digit grows and puts the shared _V1 and _H1 below it, so the steps it
+    # holds live only as long as the odometer and the paths built from it.
 
     __slots__ = ("steps", "xs", "ranks", "lo")
 
@@ -153,10 +154,10 @@ class _Odometer:
         # The horizontal bundle from (x-1, y) holds ranks 0..y, the
         # vertical bundle from (x, y-1) the ranks after it.
         if rank <= y:
-            steps[m] = _HS[rank + 1]
+            steps[m] = tuple.__new__(Step, (HORIZONTAL, rank + 1))
             px, py = x - 1, y
         else:
-            steps[m] = _VS[rank - y]
+            steps[m] = tuple.__new__(Step, (VERTICAL, rank - y))
             px, py = x, y - 1
         # Levels below m become the minimal path to the new parent,
         # V1 * py then H1 * px.  A parent on an axis has one root path,
@@ -169,28 +170,25 @@ class _Odometer:
         return True
 
 
-# The last path that `successor` or `orbit` built and the odometer
-# behind it, so that successor(x) on that very path (by identity) resumes
-# the odometer instead of checking and reloading x.  Taking the odometer
-# empties the slot, so it serves one caller only; building a path
-# replaces the older one.
+# A hand-off from `orbit` to `successor`: right before advancing, orbit
+# puts the path it has just yielded and the odometer behind it here, and
+# successor(x) on that very path (by identity) takes them back out instead
+# of checking and reloading x.  The slot is empty again before successor
+# returns, so it holds nothing between calls.
 _resume: list = [None, None]
 
 
 def _built(odometer: _Odometer) -> EulerPath:
     # EulerPath(ORIGIN, ...) without the Python-level __new__ of a NamedTuple.
-    path = tuple.__new__(EulerPath, (ORIGIN, tuple(odometer.steps)))
-    _resume[0] = path
-    _resume[1] = odometer
-    return path
+    return tuple.__new__(EulerPath, (ORIGIN, tuple(odometer.steps)))
 
 
 def successor(x: EulerPath) -> EulerPath:
     """The smallest root path to the same end vertex that is strictly
-    greater than x; raises MaximalPathError when x is maximal.  A path
-    that successor or orbit has just built resumes its odometer without
-    being checked again, so walking an orbit by successor takes amortized
-    O(1) time per path; any other x is checked and loaded first."""
+    greater than x; raises MaximalPathError when x is maximal.  x is
+    checked and loaded first, in time linear in its length, except when
+    orbit hands over the odometer behind it, so walking an orbit takes
+    amortized O(1) time per path."""
     if _resume[0] is x:
         odometer = _resume[1]
         _resume[0] = _resume[1] = None
@@ -210,16 +208,14 @@ def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
     The exact path count is checked against the budget first.  The paths
     come from one odometer started at the minimal path and advanced by
     successor, so none of them is parsed or checked."""
-    v = _as_vertex(v)
-    total = dim_between(ORIGIN, v)
-    if total > max_enum:
-        raise BudgetError(f"orbit of {total} paths to {tuple(v)} exceeds "
-                          f"the enumeration budget {max_enum}")
+    _, v = _enum_args(ORIGIN, v, max_enum)
 
     def run() -> Iterator[EulerPath]:
-        cur = _built(_Odometer(_minimal_steps(*v)))
+        odometer = _Odometer(_minimal_steps(*v))
+        cur = _built(odometer)
         while True:
             yield cur
+            _resume[0], _resume[1] = cur, odometer
             try:
                 cur = successor(cur)
             except MaximalPathError:

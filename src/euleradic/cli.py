@@ -24,7 +24,7 @@ from .errors import BudgetError, DecodeError, PathValidationError
 from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex, _count, closed_form,
                        closed_form_sym, recurrence_table)
 from .goodpaths import LabelScheme, count_good_dp, count_good_enumeration
-from .paths import DEFAULT_ENUM_BUDGET, format_path, parse_path
+from .paths import DEFAULT_ENUM_BUDGET, _format_paths, format_path, parse_path
 from .ratios import convergence_report
 
 
@@ -119,7 +119,7 @@ _ORBIT_CHUNK = 4096
 
 
 def _cmd_orbit(args) -> int:
-    lines = map(format_path, orbit(args.vertex, max_enum=args.max_enum))
+    lines = _format_paths(orbit(args.vertex, max_enum=args.max_enum))
     while chunk := list(islice(lines, _ORBIT_CHUNK)):
         chunk.append("")        # so the join ends the last line too
         sys.stdout.write("\n".join(chunk))

@@ -13,12 +13,12 @@ bijectively onto that of another.
 from __future__ import annotations
 
 import re
-from functools import partial
+from operator import index as _index
 from typing import NamedTuple
 
 from .errors import DecodeError
 from .goodpaths import LabelScheme, _require_base
-from .paths import EulerPath, HORIZONTAL, VERTICAL, _STEPS, _Shared, validate
+from .paths import EulerPath, HORIZONTAL, Step, VERTICAL, validate
 
 KIND_MARKED = "s"
 KIND_H_UNMARKED = "h"
@@ -34,15 +34,6 @@ class EncodingSymbol(NamedTuple):
 
     kind: str
     index: int
-
-
-# The symbols encode builds, shared: _SYMBOLS[kind][k] is
-# EncodingSymbol(kind, k).  A symbol is immutable, so one instance serves
-# every sequence.  encode looks up only indices it has just taken from a
-# validated step; parse_code builds fresh symbols, so text from outside
-# adds none.
-_SYMBOLS = {kind: _Shared(partial(EncodingSymbol, kind))
-            for kind in (KIND_MARKED, KIND_H_UNMARKED, KIND_V_UNMARKED)}
 
 
 class EncodingSequence(NamedTuple):
@@ -62,6 +53,7 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     bundles = scheme.bundles
     consumed = 0
     symbols: list[EncodingSymbol] = []
+    new = tuple.__new__     # a NamedTuple without its Python-level __new__
     for direction, idx in path.steps:
         first, labeled = bundles[direction]
         if idx <= labeled and not consumed >> (first + idx - 1) & 1:
@@ -73,7 +65,7 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
             below = min(labeled, idx - 1)
             kind = _UNMARKED_KIND[direction]
             index = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
-        symbols.append(_SYMBOLS[kind][index])
+        symbols.append(new(EncodingSymbol, (kind, index)))
     return EncodingSequence(sum(scheme.base), tuple(symbols))
 
 
@@ -112,7 +104,8 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     x, y = scheme.base
     bundles = scheme.bundles
     consumed = 0
-    steps: list = []
+    steps: list[Step] = []
+    new = tuple.__new__
     for pos, (kind, index) in enumerate(code.symbols, start=1):
         if kind == KIND_MARKED:
             if not 1 <= index <= p + q + 2:
@@ -137,7 +130,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                 # as rsplit leaves in front of it.
                 idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
             else:
-                idx = labeled + index - c
+                idx = labeled + _index(index) - c
                 size = y + 1 if direction == HORIZONTAL else x + 1
                 if not labeled < idx <= size:
                     raise DecodeError(
@@ -146,7 +139,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                         f"edges at {(x, y)}, need position {index}")
         else:
             raise DecodeError(f"symbol {pos}: unknown kind {kind!r}")
-        steps.append(_STEPS[direction][idx])
+        steps.append(new(Step, (direction, idx)))
         if direction == HORIZONTAL:
             x += 1
         else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import index
 from typing import NamedTuple
 
 from .errors import BudgetError
@@ -51,14 +52,14 @@ ORIGIN = Vertex(0, 0)
 
 
 def _as_vertex(v) -> Vertex:
-    x, y = v
+    x, y = map(index, v)
     if x < 0 or y < 0:
         raise ValueError(f"vertex coordinates must be nonnegative, got {tuple(v)!r}")
     return Vertex(x, y)
 
 
 def _as_offset(off) -> Offset:
-    i, j = off
+    i, j = map(index, off)
     if i < 0 or j < 0:
         raise ValueError(f"offset components must be nonnegative, got {tuple(off)!r}")
     return Offset(i, j)

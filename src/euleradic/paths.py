@@ -11,10 +11,8 @@ the closed form or the recurrence.
 
 from __future__ import annotations
 
-import operator
 import re
-from functools import partial
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, PathValidationError
 from .eulerian import Offset, Vertex, _as_offset, _as_vertex, _count
@@ -49,42 +47,6 @@ class EulerPath(NamedTuple):
         x, y = self.start
         dx = sum(1 for s in self.steps if s.direction == HORIZONTAL)
         return Vertex(x + dx, y + len(self.steps) - dx)
-
-
-class _Shared(dict):
-    # A shared table of immutable values: looking up a missing key builds
-    # make(key), stores it and returns it, so the table holds exactly the
-    # keys the library has looked up, whatever their size.  A key must be an
-    # integer, as a list index must: a float raises TypeError and is never
-    # stored, and an int subclass is stored as its plain int.
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        key = operator.index(key)
-        value = self[key] = self.make(key)
-        return value
-
-
-def _new_step(direction: str, k: int) -> Step:
-    step = Step(direction, k)
-    _STEP_TEXT[id(step)] = f"{direction}{k}"
-    return step
-
-
-# The steps the library builds, shared: _STEPS[d][k] is Step(d, k).  A
-# Step is immutable, so one instance serves every path.  The library looks
-# up only edge indices it is about to put in a path, checked against their
-# bundle; parse_path builds fresh steps, so text from outside adds none.
-# _STEP_TEXT maps the id of each shared step to its text in format_path;
-# shared steps live as long as their table, so no other object can hold
-# one of these ids.
-_STEP_TEXT: dict[int, str] = {}
-_STEPS = {d: _Shared(partial(_new_step, d)) for d in (HORIZONTAL, VERTICAL)}
 
 
 def multiplicity(v, direction: str) -> int:
@@ -136,7 +98,6 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
     # Enumeration order at a vertex: all horizontal edges by ascending
     # index, then all vertical edges by ascending index.  The walk is at
     # (p + a, q + b); options[a][b] lists the steps it may take there.
-    # The steps are the walk's own, so the shared tables stay as they are.
     hs = [Step(HORIZONTAL, k) for k in range(1, q + j + 2)] if i else []
     vs = [Step(VERTICAL, k) for k in range(1, p + i + 2)] if j else []
     options = [[(hs[:q + b + 1] if a < i else []) + (vs[:p + a + 1] if b < j else [])
@@ -173,8 +134,10 @@ def _enum_args(base, off, max_enum: int) -> tuple[Vertex, Offset]:
     base, off = _as_vertex(base), _as_offset(off)
     expected = _count(*base, *off)
     if expected > max_enum:
-        raise BudgetError(f"{expected} paths from {tuple(base)} at offset "
-                          f"{tuple(off)} exceed the enumeration budget {max_enum}")
+        # The bit length, not the digits: a count may be past str's limit.
+        raise BudgetError(f"the {expected.bit_length()}-bit count of paths from "
+                          f"{tuple(base)} at offset {tuple(off)} exceeds the "
+                          f"enumeration budget {max_enum}")
     return base, off
 
 
@@ -228,11 +191,25 @@ def format_path(path: EulerPath) -> str:
     """Serialize as '(x,y):H1,V2,...' (empty step list leaves nothing
     after the colon)."""
     x, y = path.start
-    try:
-        body = ",".join(map(_STEP_TEXT.__getitem__, map(id, path.steps)))
-    except KeyError:    # a step the library did not build
-        body = ",".join(f"{s.direction}{s.edge_index}" for s in path.steps)
-    return f"({x},{y}):{body}"
+    return f"({x},{y}):" + ",".join([f"{d}{k}" for d, k in path.steps])
+
+
+class _StepText(dict):
+    # Step -> its text in format_path, made when a step is first looked up.
+
+    def __missing__(self, step):
+        text = self[step] = f"{step[0]}{step[1]}"
+        return text
+
+
+def _format_paths(paths: Iterable[EulerPath]) -> Iterator[str]:
+    # format_path of each path, with the text of each distinct step made
+    # once for the whole run.  Equal steps share one text, so the steps must
+    # print alike when equal, as steps with plain int indices do.
+    text = _StepText().__getitem__
+    for path in paths:
+        x, y = path.start
+        yield f"({x},{y}):" + ",".join(map(text, path.steps))
 
 
 def parse_path(text: str) -> EulerPath:

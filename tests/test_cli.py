@@ -157,6 +157,18 @@ def test_orbit_budget_exit(capsys):
     assert rc == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--vertex", "900,900"),
+    ("good", "--p", "0", "--q", "0", "--i", "900", "--j", "900", "--method", "enum"),
+], ids=["orbit", "good"])
+def test_a_budget_refusal_gives_the_count_by_its_bit_length(capsys, argv):
+    # The count has 5,082 digits, more than str() writes for an int.
+    rc, out, err = run(capsys, *argv, "--max-enum", "10")
+    assert rc == 2 and out == ""
+    assert err == ("error: the 16881-bit count of paths from (0, 0) at offset "
+                   "(900, 900) exceeds the enumeration budget 10\n")
+
+
 def test_encode_decode_round_trip(capsys):
     rc, out, _ = run(capsys, "encode", "--path", "(1,1):H1,V2,H3")
     assert rc == 0 and out == "n=2;s1,s4,h2\n"

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from test_paths import corrupted
-
-import euleradic.encoding as encoding_module
+from test_shared_tables import module_sizes
 
 from euleradic import (
     DecodeError,
@@ -125,12 +124,12 @@ def test_encoded_and_decoded_values_equal_fresh_ones():
 
 
 def test_parse_code_leaves_the_symbol_table_alone():
-    sizes = {kind: len(table) for kind, table in encoding_module._SYMBOLS.items()}
+    before = module_sizes()
     code = parse_code(f"n=0;h{10**9}")
     assert code.symbols == (EncodingSymbol("h", 10**9),)
     with pytest.raises(DecodeError):
         decode(_scheme(0, 0), code)
-    assert {kind: len(table) for kind, table in encoding_module._SYMBOLS.items()} == sizes
+    assert module_sizes() == before
 
 
 def test_decode_examples_and_errors():

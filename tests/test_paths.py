@@ -8,18 +8,24 @@ from hypothesis import given, strategies as st
 
 from math import factorial
 
+from test_shared_tables import module_sizes
+
 import euleradic.paths as paths_module
 from euleradic import (
     BudgetError,
     EulerPath,
+    LabelScheme,
     PathValidationError,
     Step,
     Vertex,
     closed_form,
     count_paths_enumeration,
+    decode,
     enumerate_paths,
     format_path,
+    maximal_path,
     multiplicity,
+    parse_code,
     parse_path,
     path_sort_key,
     validate,
@@ -135,15 +141,13 @@ def test_enumerated_steps_are_shared_and_equal_fresh_ones():
 
 
 def test_parse_path_leaves_the_step_table_alone():
-    sizes = {d: len(table) for d, table in paths_module._STEPS.items()}
-    texts = len(paths_module._STEP_TEXT)
+    before = module_sizes()
     path = parse_path(f"(0,0):H{10**9}")
     assert path.steps == (Step("H", 10**9),)
     with pytest.raises(PathValidationError):
         validate(path)
     assert format_path(path) == f"(0,0):H{10**9}"
-    assert {d: len(table) for d, table in paths_module._STEPS.items()} == sizes
-    assert len(paths_module._STEP_TEXT) == texts
+    assert module_sizes() == before
 
 
 def _reference_format(path):
@@ -152,10 +156,13 @@ def _reference_format(path):
 
 
 directions = st.sampled_from("HV")
-# Steps of three kinds: the library's shared steps, fresh ones parsed from
-# text, and fresh ones with an edge index far past any table.
+# Steps of three kinds: steps the library builds (Vk ending a maximal path,
+# Hk decoded from the one-symbol code s_k at base (0, k-1)), steps parsed
+# from text, and steps built directly with an edge index far past those.
 any_step = st.one_of(
-    st.builds(lambda d, k: paths_module._STEPS[d][k], directions, st.integers(1, 30)),
+    st.builds(lambda k: maximal_path((k - 1, 1)).steps[-1], st.integers(1, 30)),
+    st.builds(lambda k: decode(LabelScheme((0, k - 1)),
+                               parse_code(f"n={k - 1};s{k}")).steps[0], st.integers(1, 30)),
     st.builds(lambda d, k: parse_path(f"(0,0):{d}{k}").steps[0], directions,
               st.integers(1, 10**6)),
     st.builds(Step, directions, st.integers(10**9, 10**12)))
@@ -165,6 +172,10 @@ any_step = st.one_of(
 def test_format_path_matches_the_per_step_text(x, y, steps):
     path = EulerPath(Vertex(x, y), tuple(steps))
     assert format_path(path) == _reference_format(path)
+    # The orbit command's formatter reuses each step's text across paths.
+    reverse = EulerPath(Vertex(x, y), tuple(steps[::-1]))
+    assert list(paths_module._format_paths([path, reverse, path])) \
+        == [format_path(path), format_path(reverse), format_path(path)]
 
 
 def test_format_path_writes_each_step_as_itself():
