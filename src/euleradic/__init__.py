@@ -4,7 +4,8 @@ counts, good-path bijections, and the adic transformation."""
 from .adic import (IncomingEdge, compare, cylinder_frequency, cylinder_measure,
                    incoming_order, maximal_path, minimal_path, orbit, successor)
 from .encoding import (EncodingSequence, EncodingSymbol, decode, encode,
-                       format_code, parse_code, transport, unmarked_counts)
+                       format_code, parse_code, transport, unmarked_counts,
+                       unmarked_trail)
 from .errors import (BudgetError, DecodeError, MaximalPathError,
                      PathValidationError)
 from .eulerian import (CountTable, Offset, ORIGIN, Vertex,
@@ -38,5 +39,5 @@ __all__ = [
     "monotonicity_violations", "multiplicity", "normalized_dim_ratio",
     "orbit", "parse_code", "parse_path", "path_sort_key", "ratio_down_p",
     "ratio_down_q", "recurrence_table", "successor", "transport",
-    "unmarked_counts", "validate",
+    "unmarked_counts", "unmarked_trail", "validate",
 ]

@@ -11,7 +11,7 @@ from itertools import product
 from operator import ne
 
 from .adic import compare, cylinder_measure, maximal_path, orbit, successor
-from .encoding import decode, encode
+from .encoding import _encode, decode
 from .errors import MaximalPathError
 from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, classical_eulerian_oracle,
                        closed_form, coefficient_identity_check, comtet_a00,
@@ -121,11 +121,11 @@ def transport_bijection(bases, ends, *, max_paths: int, max_good=None):
             continue
         goods = [x for x in enumerate_paths(src, off, max_enum=max_paths)
                  if is_good(schemes[src], x)[0]]
-        codes = [encode(schemes[src], x) for x in goods]
+        codes = [_encode(schemes[src], x) for x in goods]     # is_good checked x
         for dst, scheme in schemes.items():
             images = [decode(scheme, code) for code in codes]
             ok = images == goods if dst == src else all(
-                y.end() == end and is_good(scheme, y)[0] and encode(scheme, y) == code
+                y.end() == end and is_good(scheme, y)[0] and _encode(scheme, y) == code
                 for y, code in zip(images, codes))
             if not (ok and len(set(images)) == count_good_dp(
                     dst, (end[0] - dst[0], end[1] - dst[1]))):

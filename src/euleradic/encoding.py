@@ -24,9 +24,6 @@ KIND_MARKED = "s"
 KIND_H_UNMARKED = "h"
 KIND_V_UNMARKED = "v"
 
-_UNMARKED_KIND = {HORIZONTAL: KIND_H_UNMARKED, VERTICAL: KIND_V_UNMARKED}
-_UNMARKED_DIRECTION = {kind: d for d, kind in _UNMARKED_KIND.items()}
-
 
 class EncodingSymbol(NamedTuple):
     """One symbol: kind 's' (marked label index), 'h' or 'v' (1-based
@@ -50,46 +47,64 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     base it starts at."""
     _require_base(scheme, path)
     validate(path)
-    bundles = scheme.bundles
+    return _encode(scheme, path)
+
+
+def _encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
+    # encode of a path already known to be valid and to start at the base.
+    h = (*scheme.bundles[HORIZONTAL], KIND_H_UNMARKED)
+    v = (*scheme.bundles[VERTICAL], KIND_V_UNMARKED)
     consumed = 0
     symbols: list[EncodingSymbol] = []
     new = tuple.__new__     # a NamedTuple without its Python-level __new__
     for direction, idx in path.steps:
-        first, labeled = bundles[direction]
-        if idx <= labeled and not consumed >> (first + idx - 1) & 1:
-            consumed |= 1 << (first + idx - 1)
-            kind, index = KIND_MARKED, first + idx
+        first, labeled, kind = h if direction == HORIZONTAL else v
+        # Unmarked: the position is idx less the marked edges below it.
+        if idx > labeled:
+            below = labeled
+        elif consumed >> (first + idx - 1) & 1:
+            below = idx - 1
         else:
-            # Position among the unmarked edges: idx less the marked
-            # (labeled, unconsumed) edges below it.
-            below = min(labeled, idx - 1)
-            kind = _UNMARKED_KIND[direction]
-            index = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
+            consumed |= 1 << (first + idx - 1)
+            symbols.append(new(EncodingSymbol, (KIND_MARKED, first + idx)))
+            continue
+        index = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
         symbols.append(new(EncodingSymbol, (kind, index)))
-    return EncodingSequence(sum(scheme.base), tuple(symbols))
+    return new(EncodingSequence, (sum(scheme.base), tuple(symbols)))
 
 
-def unmarked_counts(scheme: LabelScheme, path: EulerPath, m: int) -> tuple[int, int]:
+def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]]:
     """Counts of unmarked horizontal and vertical edges exiting the vertex
-    reached after the first m steps.
+    reached after the first m steps, for m = 0, 1, ..., len(path.steps),
+    from one checked pass over the path.
 
     Along any path the pair obeys a fixed recursion: a marked step raises
     both counts by one; an unmarked horizontal step raises only the
     vertical count; an unmarked vertical step raises only the horizontal
     count.
     """
-    if not 0 <= m <= len(path.steps):
-        raise ValueError(f"step index {m} outside [0, {len(path.steps)}]")
     _require_base(scheme, path)
     validate(path)
-    head = path.steps[:m]
-    consumed = scheme.consumed(head)
-    dx = [step.direction for step in head].count(HORIZONTAL)
-    # A bundle's unmarked edges are its consumed labeled edges plus one
-    # unlabeled edge per step taken in the other direction.  The vertical
-    # labels are the mask's top bits.
-    v_used = (consumed >> scheme.bundles[VERTICAL][0]).bit_count()
-    return m - dx + consumed.bit_count() - v_used, dx + v_used
+    h, v = (*scheme.bundles[HORIZONTAL], 1), (*scheme.bundles[VERTICAL], 0)
+    consumed = dx = 0
+    trail = [(0, 0)]
+    for direction, idx in path.steps:
+        first, labeled, horizontal = h if direction == HORIZONTAL else v
+        dx += horizontal
+        if idx <= labeled:
+            consumed |= 1 << (first + idx - 1)
+        # A bundle's unmarked edges: its consumed labeled ones, plus one
+        # unlabeled edge per step taken in the other direction.
+        v_used = (consumed >> v[0]).bit_count()    # the mask's top bits
+        trail.append((len(trail) - dx + consumed.bit_count() - v_used, dx + v_used))
+    return trail
+
+
+def unmarked_counts(scheme: LabelScheme, path: EulerPath, m: int) -> tuple[int, int]:
+    """Entry m of unmarked_trail(scheme, path), for 0 <= m <= len(path.steps)."""
+    if not 0 <= m <= len(path.steps):
+        raise ValueError(f"step index {m} outside [0, {len(path.steps)}]")
+    return unmarked_trail(scheme, path)[m]
 
 
 def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
@@ -97,54 +112,56 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     `code`.  Requires code.base_level = the base's level; raises
     DecodeError when some symbol matches no edge (the code is not in the
     image of any path from this base)."""
-    p, q = scheme.base
+    p, q = x, y = scheme.base
     if code.base_level != p + q:
         raise ValueError(f"code was taken at level {code.base_level}, "
                          f"base {tuple(scheme.base)} has level {p + q}")
-    x, y = scheme.base
     bundles = scheme.bundles
-    consumed = 0
+    (_, h_labeled), (v_first, v_labeled) = bundles[HORIZONTAL], bundles[VERTICAL]
+    h_mask, consumed = (1 << h_labeled) - 1, 0
     steps: list[Step] = []
     new = tuple.__new__
-    for pos, (kind, index) in enumerate(code.symbols, start=1):
+    for kind, index in code.symbols:
         if kind == KIND_MARKED:
-            if not 1 <= index <= p + q + 2:
-                raise DecodeError(f"symbol {pos}: no label s_{index} at a level-"
-                                  f"{p + q} base")
-            if consumed >> (index - 1) & 1:
-                raise DecodeError(f"symbol {pos}: label s_{index} already consumed")
-            consumed |= 1 << (index - 1)
-            direction = HORIZONTAL if index <= q + 1 else VERTICAL
-            idx = index - bundles[direction][0]
-        elif kind in _UNMARKED_DIRECTION:
-            # encode's position, inverted: the unmarked edges of a bundle
-            # are its c consumed labeled edges, then every edge past the
-            # labeled ones.
-            direction = _UNMARKED_DIRECTION[kind]
-            first, labeled = bundles[direction]
-            used = consumed >> first & ((1 << labeled) - 1)
+            a = _index(index)
+            if not 1 <= a <= p + q + 2:
+                raise DecodeError(f"symbol {len(steps) + 1}: no label s_{index} "
+                                  f"at a level-{p + q} base")
+            if consumed >> (a - 1) & 1:
+                raise DecodeError(f"symbol {len(steps) + 1}: label s_{index} "
+                                  f"already consumed")
+            consumed |= 1 << (a - 1)
+            if a <= h_labeled:
+                direction, idx, x = HORIZONTAL, a, x + 1
+            else:
+                direction, idx, y = VERTICAL, a - v_first, y + 1
+        else:
+            # encode's position, inverted: a bundle's unmarked edges are its
+            # c consumed labeled edges, then every edge past the labeled ones.
+            if kind == KIND_H_UNMARKED:
+                direction, labeled, size, x = HORIZONTAL, h_labeled, y + 1, x + 1
+                used = consumed & h_mask
+            elif kind == KIND_V_UNMARKED:
+                direction, labeled, size, y = VERTICAL, v_labeled, x + 1, y + 1
+                used = consumed >> v_first     # the mask's top bits
+            else:
+                raise DecodeError(f"symbol {len(steps) + 1}: unknown kind {kind!r}")
             c = used.bit_count()
             if 1 <= index <= c:
-                # The index-th consumed edge from edge 1: the index-th
-                # lowest 1 bit of `used`, which has as many bits above it
-                # as rsplit leaves in front of it.
+                # The index-th consumed edge from edge 1: the index-th lowest
+                # 1 bit of `used`, which has as many bits above it as rsplit
+                # leaves in front of it.
                 idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
             else:
                 idx = labeled + _index(index) - c
-                size = y + 1 if direction == HORIZONTAL else x + 1
                 if not labeled < idx <= size:
+                    at = (x - 1, y) if direction == HORIZONTAL else (x, y - 1)
                     raise DecodeError(
-                        f"symbol {pos}: only {c + size - labeled} unmarked "
+                        f"symbol {len(steps) + 1}: only {c + size - labeled} unmarked "
                         f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
-                        f"edges at {(x, y)}, need position {index}")
-        else:
-            raise DecodeError(f"symbol {pos}: unknown kind {kind!r}")
+                        f"edges at {at}, need position {index}")
         steps.append(new(Step, (direction, idx)))
-        if direction == HORIZONTAL:
-            x += 1
-        else:
-            y += 1
-    return EulerPath(scheme.base, tuple(steps))
+    return new(EulerPath, (scheme.base, tuple(steps)))
 
 
 def transport(scheme_from: LabelScheme, scheme_to: LabelScheme,

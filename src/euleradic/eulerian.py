@@ -55,7 +55,7 @@ def _as_vertex(v) -> Vertex:
     x, y = map(index, v)
     if x < 0 or y < 0:
         raise ValueError(f"vertex coordinates must be nonnegative, got {tuple(v)!r}")
-    return Vertex(x, y)
+    return tuple.__new__(Vertex, (x, y))    # without the Python-level __new__
 
 
 def _as_offset(off) -> Offset:

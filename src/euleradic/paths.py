@@ -65,35 +65,42 @@ def validate(path: EulerPath) -> Vertex:
     the running vertex; returns the end vertex.
 
     Raises PathValidationError naming the first offending step (1-based).
+    Each public per-path call validates its input exactly once, through
+    this name; bench/test_bench.py pins the count of calls.
     """
     x, y = _as_vertex(path.start)
-    for m, (direction, idx) in enumerate(path.steps, start=1):
+    for direction, idx in path.steps:
         if direction == HORIZONTAL:
-            size = y + 1
-        elif direction == VERTICAL:
-            size = x + 1
-        else:
-            raise PathValidationError(
-                f"step {m}: unknown direction {direction!r}")
-        if not isinstance(idx, int):
-            raise PathValidationError(
-                f"step {m}: edge index {idx!r} is not an integer")
-        if not 1 <= idx <= size:
-            raise PathValidationError(
-                f"step {m}: edge index {idx} outside bundle of "
-                f"size {size} at vertex {(x, y)}")
-        if direction == HORIZONTAL:
+            if not (isinstance(idx, int) and 1 <= idx <= y + 1):
+                break
             x += 1
-        else:
+        elif direction == VERTICAL and isinstance(idx, int) and 1 <= idx <= x + 1:
             y += 1
-    return Vertex(x, y)
+        else:
+            break
+    else:
+        return tuple.__new__(Vertex, (x, y))
+    raise _step_error(path, x, y)
+
+
+def _step_error(path: EulerPath, x: int, y: int) -> PathValidationError:
+    # Error of the first bad step, taken at (x, y); each earlier step raised x or y by 1.
+    m = x + y - sum(_as_vertex(path.start)) + 1
+    direction, idx = path.steps[m - 1]
+    if direction not in (HORIZONTAL, VERTICAL):
+        return PathValidationError(f"step {m}: unknown direction {direction!r}")
+    if not isinstance(idx, int):
+        return PathValidationError(f"step {m}: edge index {idx!r} is not an integer")
+    size = y + 1 if direction == HORIZONTAL else x + 1
+    return PathValidationError(f"step {m}: edge index {idx} outside bundle of "
+                               f"size {size} at vertex {(x, y)}")
 
 
 def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
     (p, q), (i, j) = base, off
     total = i + j
     if total == 0:
-        yield EulerPath(base, ())
+        yield tuple.__new__(EulerPath, (base, ()))
         return
     # Enumeration order at a vertex: all horizontal edges by ascending
     # index, then all vertical edges by ascending index.  The walk is at
@@ -119,7 +126,7 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
             continue
         steps[depth] = step
         if depth == last:
-            yield EulerPath(base, tuple(steps))
+            yield tuple.__new__(EulerPath, (base, tuple(steps)))
         else:
             if step.direction == HORIZONTAL:
                 a += 1

@@ -28,7 +28,7 @@ from euleradic import (
     enumerate_paths,
     good_count_table,
     recurrence_table,
-    unmarked_counts,
+    unmarked_trail,
 )
 from euleradic import checks
 
@@ -199,6 +199,7 @@ def test_criterion_10_encoding_recursion_and_round_trip():
                         continue
                     for path in enumerate_paths((p, q), off):
                         code = encode(scheme, path)
+                        trail = unmarked_trail(scheme, path)
                         h = v = 0
                         for m, sym in enumerate(code.symbols, start=1):
                             if sym.kind == "s":
@@ -207,7 +208,7 @@ def test_criterion_10_encoding_recursion_and_round_trip():
                                 v += 1
                             else:
                                 h += 1
-                            if unmarked_counts(scheme, path, m) != (h, v):
+                            if trail[m] != (h, v):
                                 problems.append(("recursion", p, q, path))
                                 break
                         if decode(scheme, code) != path:

@@ -27,6 +27,8 @@ from euleradic import (
     parse_path,
     transport,
     unmarked_counts,
+    unmarked_trail,
+    validate,
 )
 
 
@@ -99,6 +101,31 @@ def test_unmarked_counts_rejects_invalid_paths():
     for m in (0, 1):
         with pytest.raises(PathValidationError):
             unmarked_counts(s, bad, m)
+    with pytest.raises(PathValidationError):
+        unmarked_trail(s, bad)
+
+
+def test_unmarked_trail_examples():
+    s = _scheme(0, 0)
+    assert unmarked_trail(s, _path((0, 0), [])) == [(0, 0)]
+    assert unmarked_trail(s, _path((0, 0), [("H", 1), ("V", 2)])) \
+        == [(0, 0), (1, 1), (2, 1)]
+    s11 = _scheme(1, 1)
+    assert unmarked_trail(s11, _path((1, 1), [("H", 1), ("V", 2), ("H", 3)])) \
+        == [(0, 0), (1, 1), (2, 2), (2, 3)]
+
+
+def test_unmarked_counts_checks_m_then_base_then_path():
+    s = _scheme(0, 0)
+    elsewhere = parse_path("(1,0):H5")
+    with pytest.raises(ValueError, match="step index 2 outside"):
+        unmarked_counts(s, elsewhere, 2)
+    with pytest.raises(ValueError, match="path starts at"):
+        unmarked_counts(s, elsewhere, 1)
+    with pytest.raises(ValueError, match="path starts at"):
+        unmarked_trail(s, elsewhere)
+    with pytest.raises(PathValidationError, match="step 1"):
+        unmarked_counts(s, parse_path("(0,0):H5"), 1)
 
 
 def test_decode_inverts_encode():
@@ -130,6 +157,20 @@ def test_parse_code_leaves_the_symbol_table_alone():
     with pytest.raises(DecodeError):
         decode(_scheme(0, 0), code)
     assert module_sizes() == before
+
+
+def test_a_float_marked_index_raises_as_an_unmarked_one_does():
+    # A marked index goes through operator.index like an unmarked one: both
+    # raise the same TypeError, where s1.0 used to fail inside a shift.
+    for kind in "shv":
+        code = EncodingSequence(0, (EncodingSymbol(kind, 1.0),))
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            decode(_scheme(0, 0), code)
+    # A bool index is an int: True is s1, and False is named as given.
+    assert decode(_scheme(0, 0), EncodingSequence(0, (EncodingSymbol("s", True),))) \
+        == _path((0, 0), [("H", 1)])
+    with pytest.raises(DecodeError, match="no label s_False"):
+        decode(_scheme(0, 0), EncodingSequence(0, (EncodingSymbol("s", False),)))
 
 
 def test_decode_examples_and_errors():
@@ -310,7 +351,9 @@ def test_is_good_mask_is_the_label_rule(case):
 @given(based_paths())
 def test_unmarked_counts_follow_the_symbol_recursion(case):
     scheme, path = case
-    for m, hv in enumerate(_symbol_recursion(encode(scheme, path))):
+    trail = unmarked_trail(scheme, path)
+    assert trail == list(_symbol_recursion(encode(scheme, path)))
+    for m, hv in enumerate(trail):
         assert unmarked_counts(scheme, path, m) == hv
 
 
@@ -407,3 +450,83 @@ def test_decode_at_a_large_base_does_not_scan_bundles():
     assert path == _path((10**6, 0), [("H", 1)] + [("V", 10**6 + 2)] * 20)
     assert other == _path((0, 10**6), [("H", 1), ("H", 2), ("H", 3), ("H", 2)])
     assert elapsed < 0.5
+
+
+def _reference_validate(path):
+    # validate as it was before its loop branched once per step: the
+    # bundle size is looked up first, then each check raises in turn.  Kept
+    # as an oracle for the step number and text of every error.
+    x, y = path.start
+    for m, (direction, idx) in enumerate(path.steps, start=1):
+        if direction == "H":
+            size = y + 1
+        elif direction == "V":
+            size = x + 1
+        else:
+            raise PathValidationError(
+                f"step {m}: unknown direction {direction!r}")
+        if not isinstance(idx, int):
+            raise PathValidationError(
+                f"step {m}: edge index {idx!r} is not an integer")
+        if not 1 <= idx <= size:
+            raise PathValidationError(
+                f"step {m}: edge index {idx} outside bundle of "
+                f"size {size} at vertex {(x, y)}")
+        if direction == "H":
+            x += 1
+        else:
+            y += 1
+    return Vertex(x, y)
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except (PathValidationError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def one_bad_step(draw):
+    """A scheme and a path from its base with one step put in at a random
+    position: an unknown direction, a float or str index, index 0 or the
+    bundle size plus one, or a bool index (True is edge 1, False is 0).
+    The steps around it are valid and may have bool indices too."""
+    scheme, path = draw(based_paths(max_steps=12))
+    steps = [Step(d, True) if k == 1 and draw(st.booleans()) else Step(d, k)
+             for d, k in path.steps]
+    at = draw(st.integers(0, len(steps)))
+    x, y = scheme.base
+    for d, _ in steps[:at]:
+        x, y = (x + 1, y) if d == "H" else (x, y + 1)
+    direction = draw(st.sampled_from("HV"))
+    size = y + 1 if direction == "H" else x + 1
+    bad = draw(st.sampled_from([
+        Step(draw(st.sampled_from(["X", "h", "", None])), 1),
+        Step(direction, float(draw(st.integers(1, size)))),
+        Step(direction, draw(st.floats(0.5, size + 0.5))),
+        Step(direction, str(draw(st.integers(1, size)))),
+        Step(direction, 0),
+        Step(direction, size + 1),
+        Step(direction, True),
+        Step(direction, False),
+    ]))
+    # A step put in only grows the bundles after it, so they stay valid.
+    return scheme, EulerPath(path.start, tuple(steps[:at] + [bad] + steps[at:]))
+
+
+@given(one_bad_step(), st.data())
+def test_every_public_call_raises_the_reference_validation_error(case, data):
+    scheme, path = case
+    expected = _error(_reference_validate, path)
+    m = data.draw(st.integers(0, len(path.steps)))
+    assert _error(validate, path) == expected
+    assert _error(encode, scheme, path) == expected
+    assert _error(is_good, scheme, path) == expected
+    assert _error(unmarked_counts, scheme, path, m) == expected
+    assert _error(unmarked_trail, scheme, path) == expected
+    assert _error(transport, scheme, scheme, path) == expected
+    if expected is None:
+        assert validate(path) == _reference_validate(path)
+        assert transport(scheme, scheme, path) == path
