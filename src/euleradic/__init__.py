@@ -10,8 +10,8 @@ from .errors import (BudgetError, DecodeError, MaximalPathError,
                      PathValidationError)
 from .eulerian import (CountTable, Offset, ORIGIN, Vertex,
                        classical_eulerian_oracle, closed_form, closed_form_sym,
-                       coefficient_identity_check, comtet_a00, dim_between,
-                       generalized_binomial, recurrence_table)
+                       closed_form_table, coefficient_identity_check, comtet_a00,
+                       dim_between, generalized_binomial, recurrence_table)
 from .goodpaths import (LabelScheme, bad_path_bound, count_good_dp,
                         count_good_enumeration, edge_label, good_count_table,
                         good_fraction, is_good)
@@ -29,7 +29,7 @@ __all__ = [
     "IncomingEdge", "LabelScheme", "MaximalPathError", "ORIGIN", "Offset",
     "PathValidationError", "Step", "VERTICAL", "Vertex", "bad_path_bound",
     "check_monotonicity", "classical_eulerian_oracle", "closed_form",
-    "closed_form_sym", "coefficient_identity_check", "compare", "comtet_a00",
+    "closed_form_sym", "closed_form_table", "coefficient_identity_check", "compare", "comtet_a00",
     "convergence_report", "count_good_dp", "count_good_enumeration",
     "count_paths_enumeration", "cylinder_frequency", "cylinder_measure",
     "decode", "dim_between", "directional_limit_q", "divergence_threshold",

@@ -14,8 +14,8 @@ from .adic import compare, cylinder_measure, maximal_path, orbit, successor
 from .encoding import _encode, decode
 from .errors import MaximalPathError
 from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, classical_eulerian_oracle,
-                       closed_form, coefficient_identity_check, comtet_a00,
-                       dim_between, recurrence_table)
+                       closed_form, closed_form_table, coefficient_identity_check,
+                       comtet_a00, dim_between, recurrence_table)
 from .goodpaths import (LabelScheme, bad_path_bound, count_good_dp,
                         count_good_enumeration, good_count_table, is_good)
 from .paths import DEFAULT_ENUM_BUDGET, enumerate_paths
@@ -58,13 +58,15 @@ def forms_agree(bases, cells, form, reference):
     return _scan(bases, cells, lambda b, off: reference(b, off) == form(b, off))
 
 
-def closed_form_vs_recurrence(bases, cells, form, *, max_cells=DEFAULT_CELL_BUDGET):
-    """(p, q, i, j) where form(base, off) differs from the recurrence table
-    of each base, filled over the cells' bounding box."""
+def closed_form_vs_recurrence(bases, cells, table_form, *, max_cells=DEFAULT_CELL_BUDGET):
+    """(p, q, i, j) where the table table_form(base, imax, jmax, max_cells=)
+    differs from the recurrence table of each base, both filled over the
+    cells' bounding box."""
     cells = list(cells)
     box = [max(c) for c in zip(*cells)] or [-1, -1]
     tables = {b: recurrence_table(b, *box, max_cells=max_cells) for b in bases}
-    return _scan(tables, cells, lambda b, off: tables[b][off] == form(b, off))
+    forms = {b: table_form(b, *box, max_cells=max_cells) for b in bases}
+    return _scan(tables, cells, lambda b, off: tables[b][off] == forms[b][off])
 
 
 def origin_vs_descent_oracle(cells):
@@ -119,9 +121,12 @@ def transport_bijection(bases, ends, *, max_paths: int, max_good=None):
         if (max_good is not None and count_good_dp(src, off) > max_good
                 or closed_form(src, off) > max_paths):
             continue
+        # enumerate_paths builds valid paths from src, so their goodness
+        # needs no validation; every decoded image gets the full is_good.
+        mine = schemes[src]
         goods = [x for x in enumerate_paths(src, off, max_enum=max_paths)
-                 if is_good(schemes[src], x)[0]]
-        codes = [_encode(schemes[src], x) for x in goods]     # is_good checked x
+                 if mine.consumed(x.steps) == mine.full_mask]
+        codes = [_encode(mine, x) for x in goods]
         for dst, scheme in schemes.items():
             images = [decode(scheme, code) for code in codes]
             ok = images == goods if dst == src else all(

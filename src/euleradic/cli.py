@@ -1,8 +1,8 @@
 """Command-line front end: count tables, verification suites, convergence
 data, good-path queries, transports, orbits, and code round-trips.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or resource error
-or output closed early.
+Exit codes: 0 success, 1 verification failure, 2 usage, resource or
+arithmetic error or output closed early.
 All output is byte-deterministic for fixed flags.
 """
 
@@ -20,7 +20,7 @@ from . import checks
 from .checks import grid, level
 from .adic import orbit
 from .encoding import encode, format_code, parse_code, decode, transport
-from .errors import BudgetError, DecodeError, PathValidationError
+from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex, _count, closed_form,
                        closed_form_sym, recurrence_table)
 from .goodpaths import LabelScheme, count_good_dp, count_good_enumeration
@@ -157,8 +157,8 @@ def _boundary_counts(a):
 _SUITES = {
     "recurrence": (dict(pmax=2, qmax=2, imax=8, jmax=8), lambda a: [
         (f"closed form equals recurrence at base ({p},{q}), window {a.imax}x{a.jmax}",
-         checks.closed_form_vs_recurrence([(p, q)], grid(a.imax, a.jmax), closed_form,
-                                          max_cells=a.max_cells))
+         checks.closed_form_vs_recurrence([(p, q)], grid(a.imax, a.jmax),
+                                          checks.closed_form_table, max_cells=a.max_cells))
         for p, q in grid(a.pmax, a.qmax)]),
     "closedform": (dict(pmax=3, qmax=3, imax=6, jmax=6), lambda a: [
         ("symmetric variant equals primary form on the window", checks.forms_agree(
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         print("error: output closed before it was all written (broken pipe)",
               file=sys.stderr)
         return 2
-    except (BudgetError, ValueError, PathValidationError, DecodeError) as exc:
+    except (ArithmeticError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

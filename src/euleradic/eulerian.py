@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
-from operator import index
+from operator import index, mul, sub
 from typing import NamedTuple
 
 from .errors import BudgetError
@@ -90,6 +90,19 @@ class CountTable:
                 f"imax={self.imax}, jmax={self.jmax})")
 
 
+def _table_base(base, imax: int, jmax: int, max_cells: int) -> Vertex:
+    # The base of a table over 0..imax x 0..jmax, once its bounds and its
+    # cell budget are checked.
+    base = _as_vertex(base)
+    if imax < 0 or jmax < 0:
+        raise ValueError("table bounds must be nonnegative")
+    cells_needed = (imax + 1) * (jmax + 1)
+    if cells_needed > max_cells:
+        raise BudgetError(f"table of {cells_needed} cells exceeds the "
+                          f"budget of {max_cells}")
+    return base
+
+
 def recurrence_table(base, imax: int, jmax: int, *,
                      max_cells: int = DEFAULT_CELL_BUDGET) -> CountTable:
     """Fill a table of A_{p,q}(i, j) via the two-term recurrence.
@@ -102,14 +115,24 @@ def recurrence_table(base, imax: int, jmax: int, *,
     >>> recurrence_table((1, 0), 1, 1)[1, 1]
     7
     """
-    p, q = _as_vertex(base)
-    if imax < 0 or jmax < 0:
-        raise ValueError("table bounds must be nonnegative")
-    cells_needed = (imax + 1) * (jmax + 1)
-    if cells_needed > max_cells:
-        raise BudgetError(f"table of {cells_needed} cells exceeds the "
-                          f"budget of {max_cells}")
-    return CountTable(Vertex(p, q), imax, jmax, _fill(p, q, imax, jmax))
+    base = _table_base(base, imax, jmax, max_cells)
+    return CountTable(base, imax, jmax, _fill(*base, imax, jmax))
+
+
+def closed_form_table(base, imax: int, jmax: int, *,
+                      max_cells: int = DEFAULT_CELL_BUDGET) -> CountTable:
+    """Fill a table of A_{p,q}(i, j) by the closed form, one kernel run
+    along j per row; cell for cell it equals closed_form and
+    recurrence_table.
+
+    >>> closed_form_table((1, 0), 2, 2).cells
+    [[1, 2, 4], [1, 7, 33], [1, 18, 171]]
+    """
+    p, q = base = _table_base(base, imax, jmax, max_cells)
+    return CountTable(base, imax, jmax, [
+        [_nonnegative(a, p, q, i, j)
+         for j, a in enumerate(_alternating_run(p, q, i, 0, jmax + 1))]
+        for i in range(imax + 1)])
 
 
 def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:
@@ -130,28 +153,40 @@ def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:
     return rows
 
 
-def _alternating_sum(p: int, q: int, i: int, j: int) -> int:
-    # Sum over t = 0..i of
-    # (-1)^(i-t) C(p+q+t+1, t) C(p+q+i+j+2, i-t) (p+1+t)^(i+j), with the
-    # binomials read as polynomials in their upper argument.  Every closed
-    # form below is this sum; with p, q >= -1 it equals A_{p,q}(i, j).
-    # Both binomials are stepped upward in their lower argument, by
-    # C(m+1, k+1) = C(m, k) (m+1)/(k+1) and C(N, k+1) = C(N, k) (N-k)/(k+1)
-    # with N = p+q+i+j+2 (`big`); each division is exact for every integer
-    # m and N.  C(N, i-t) is not stepped downward in t: that divides by
-    # N-i+t+1, which is 0 for some negative q.
-    n = p + q
-    big = n + i + j + 2
-    signed = [1]                        # (-1)^k C(big, k) for k = 0..i
-    for k in range(i):
-        signed.append(-signed[-1] * (big - k) // (k + 1))
+def _alternating_run(p: int, q: int, i: int, j: int, stop: int) -> list[int]:
+    # Cells j..stop-1 of row i of the sum over t = 0..i of
+    # (-1)^(i-t) C(p+q+t+1, t) C(N, i-t) (p+1+t)^(i+j), N = p+q+i+j+2, with
+    # the binomials read as polynomials in their upper argument.  Every
+    # closed form below is this sum; with p, q >= -1 it equals A_{p,q}(i, j).
+    # The first cell steps both binomials upward in k, by
+    # C(m, k) = C(m-1, k-1) m/k and C(N, k) = C(N, k-1) (N-k+1)/k, exact for
+    # every integer m and N; stepping C(N, i-t) downward in t would divide
+    # by N-i+t+1, which is 0 for some negative q.  Each next cell raises N
+    # by 1: Pascal's rule C(N+1, k) = C(N, k) + C(N, k-1) takes
+    # s_k = (-1)^k C(N, k) to s_k - s_{k-1} with no division, so it is exact
+    # for every integer N, negative ones included, where a step by
+    # (N+1)/(N+1-k) could divide by 0.  Each term gains one factor of its
+    # base p+1+t.  terms[k] and signed[k] belong to t = i-k.
+    top = p + q + i + j + 3             # N + 1
+    rise = p + q + 1
     e = i + j
-    total = 0
-    rising = 1                          # C(n+t+1, t)
-    for t, c in enumerate(reversed(signed)):
-        total += rising * c * (p + 1 + t) ** e
-        rising = rising * (n + t + 2) // (t + 1)
-    return total
+    s = rising = 1
+    signed = [1]                        # (-1)^k C(N, k) for k = 0..i
+    terms = [(p + 1) ** e]              # C(p+q+t+1, t) (p+1+t)^e for t = 0..i
+    for k in range(1, i + 1):
+        s = s * (k - top) // k
+        rising = rising * (rise + k) // k
+        signed.append(s)
+        terms.append(rising * (p + 1 + k) ** e)
+    terms.reverse()
+    run = [sum(map(mul, terms, signed))]
+    if stop > j + 1:                    # a one-cell call builds no step range
+        bases = range(p + 1 + i, p, -1)
+        for _ in range(j + 1, stop):
+            signed = [1, *map(sub, signed[1:], signed)]
+            terms = list(map(mul, terms, bases))
+            run.append(sum(map(mul, terms, signed)))
+    return run
 
 
 def _nonnegative(total: int, p: int, q: int, i: int, j: int) -> int:
@@ -165,7 +200,8 @@ def _count(p: int, q: int, i: int, j: int) -> int:
     """A_{p,q}(i, j) for unchecked p, q >= -1 and i, j >= 0, summed over
     the shorter index (the count is invariant under the reflection
     (p, q, i, j) -> (q, p, j, i))."""
-    total = _alternating_sum(p, q, i, j) if i <= j else _alternating_sum(q, p, j, i)
+    total = (_alternating_run(p, q, i, j, j + 1) if i <= j
+             else _alternating_run(q, p, j, i, i + 1))[0]
     return _nonnegative(total, p, q, i, j)
 
 
@@ -182,7 +218,7 @@ def closed_form(base, off) -> int:
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    return _nonnegative(_alternating_sum(p, q, i, j), p, q, i, j)
+    return _nonnegative(_alternating_run(p, q, i, j, j + 1)[0], p, q, i, j)
 
 
 def closed_form_sym(base, off) -> int:
@@ -193,7 +229,7 @@ def closed_form_sym(base, off) -> int:
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    return _nonnegative(_alternating_sum(q, p, j, i), p, q, i, j)
+    return _nonnegative(_alternating_run(q, p, j, i, i + 1)[0], p, q, i, j)
 
 
 def comtet_a00(off) -> int:
@@ -210,7 +246,7 @@ def comtet_a00(off) -> int:
     """
     i, j = _as_offset(off)
     # At base (0, 0) the kernel's C(t+1, t) (1+t)^(i+j) is this (1+t)^(i+j+1).
-    return _nonnegative(_alternating_sum(0, 0, i, j), 0, 0, i, j)
+    return _nonnegative(_alternating_run(0, 0, i, j, j + 1)[0], 0, 0, i, j)
 
 
 def dim_between(src, dst) -> int:
@@ -285,4 +321,4 @@ def coefficient_identity_check(p: int, q: int, i: int) -> tuple[int, int]:
         raise ValueError(f"i must be positive, got {i}")
     # The lhs is the kernel at offset (i, 0); it is legitimately negative
     # for some negative q, so it is not checked for sign.
-    return _alternating_sum(p, q, i, 0), (q + 1) ** i
+    return _alternating_run(p, q, i, 0, 1)[0], (q + 1) ** i

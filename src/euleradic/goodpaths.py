@@ -73,6 +73,8 @@ def edge_label(scheme: LabelScheme, at, direction: str, idx: int) -> int | None:
     x, y = _as_vertex(at)
     if x < p or y < q:
         raise ValueError(f"vertex {(x, y)} is not reachable from base {(p, q)}")
+    if not isinstance(idx, int):
+        raise ValueError(f"edge index {idx!r} is not an integer")
     size = multiplicity((x, y), direction)
     if not 1 <= idx <= size:
         raise ValueError(f"edge index {idx} outside bundle of size {size} "

@@ -15,10 +15,12 @@ from math import factorial
 
 from euleradic import (
     BudgetError,
+    CountTable,
     LabelScheme,
     Vertex,
     closed_form,
     closed_form_sym,
+    closed_form_table,
     comtet_a00,
     convergence_report,
     count_good_dp,
@@ -42,12 +44,22 @@ def _report(num, problems, text):
     assert ok, f"criterion {num:02d}: first failure {problems[0]}"
 
 
+def _cell_by_cell(form):
+    # form(base, off) as a table form: a CountTable of one call per cell.
+    def table(base, imax, jmax, *, max_cells):
+        return CountTable(base, imax, jmax, [[form(base, (i, j)) for j in range(jmax + 1)]
+                                             for i in range(imax + 1)])
+    return table
+
+
 def test_criterion_01_closed_forms_equal_recurrence():
     t0 = time.perf_counter()
     problems = []
-    for form in (closed_form, closed_form_sym):
+    for table_form in (closed_form_table, _cell_by_cell(closed_form),
+                       _cell_by_cell(closed_form_sym)):
         problems += checks.problems(checks.closed_form_vs_recurrence(
-            checks.grid(4, 4), [c for c in checks.grid(12, 12) if c != (0, 0)], form))
+            checks.grid(4, 4), [c for c in checks.grid(12, 12) if c != (0, 0)],
+            table_form))
     elapsed = time.perf_counter() - t0
     if elapsed >= 10:
         problems.append(f"took {elapsed:.1f}s, bound 10s")

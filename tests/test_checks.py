@@ -45,7 +45,7 @@ CASES = [
      16, (0, 0, 2, 1)),
     ("closed_form_vs_recurrence",
      lambda: checks.closed_form_vs_recurrence(checks.grid(1, 1), checks.grid(3, 3),
-                                              closed_form),
+                                              checks.closed_form_table),
      ("recurrence_table", lambda base, *_: tuple(base) == (1, 1), _spoil_table),
      64, (1, 1, 2, 3)),
     ("origin_vs_descent_oracle",
@@ -108,6 +108,17 @@ def test_check_reports_a_planted_defect(monkeypatch, name, run, plant, checked, 
     monkeypatch.setattr(checks, target, _wrong_at(getattr(checks, target), hit, spoil))
     bad, n = run()
     assert cell in bad and n == checked
+
+
+def test_closed_form_vs_recurrence_reports_a_wrong_closed_form_cell(monkeypatch):
+    # The case above spoils the recurrence side; this one the closed-form side.
+    def run():
+        return checks.closed_form_vs_recurrence(checks.grid(1, 1), checks.grid(3, 3),
+                                                checks.closed_form_table)
+    assert run() == ([], 64)
+    monkeypatch.setattr(checks, "closed_form_table", _wrong_at(
+        checks.closed_form_table, lambda base, *_: tuple(base) == (1, 0), _spoil_table))
+    assert run() == ([(1, 0, 2, 3)], 64)
 
 
 def test_problems_fail_a_check_that_checked_nothing():

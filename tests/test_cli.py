@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import euleradic.cli as cli
+import euleradic.eulerian as eulerian
 import euleradic.goodpaths as goodpaths
 from euleradic import checks, closed_form_sym, count_good_dp
 
@@ -179,6 +180,19 @@ def test_encode_decode_round_trip(capsys):
 def test_decode_error_exit(capsys):
     rc, _, err = run(capsys, "decode", "--base", "0,0", "--code", "n=0;h1")
     assert rc == 2 and "error:" in err
+
+
+def test_a_negative_kernel_result_exits_two_with_one_line(capsys, monkeypatch):
+    # _nonnegative raises ArithmeticError when the alternating sum goes
+    # negative; main reports it like any other refusal.
+    monkeypatch.setattr(eulerian, "_alternating_run",
+                        lambda p, q, i, j, stop: [-1] * (stop - j))
+    for argv in (("good", "--p", "1", "--q", "1", "--i", "2", "--j", "3"),
+                 ("verify", "--suite", "recurrence", "--pmax", "0", "--qmax", "0")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: alternating sum went negative at base (")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("suite,flags", [

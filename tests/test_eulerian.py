@@ -12,13 +12,14 @@ from euleradic import (
     classical_eulerian_oracle,
     closed_form,
     closed_form_sym,
+    closed_form_table,
     coefficient_identity_check,
     comtet_a00,
     dim_between,
     generalized_binomial,
     recurrence_table,
 )
-from euleradic.eulerian import _alternating_sum, _fill
+from euleradic.eulerian import _alternating_run, _fill
 
 
 def test_known_small_values():
@@ -58,8 +59,12 @@ def test_kernel_at_bases_down_to_minus_one():
             rows = _fill(p, q, 8, 8)
             for i in range(9):
                 for j in range(9):
-                    assert _alternating_sum(p, q, i, j) == rows[i][j]
-                    assert _alternating_sum(q, p, j, i) == rows[i][j]
+                    assert _alternating_run(p, q, i, j, j + 1) == [rows[i][j]]
+                    assert _alternating_run(q, p, j, i, i + 1) == [rows[i][j]]
+            # and as runs: row i along j, and column j as a row of the reflection
+            for i in range(9):
+                assert _alternating_run(p, q, i, 0, 9) == rows[i]
+                assert _alternating_run(q, p, i, 0, 9) == [row[i] for row in rows]
 
 
 def _literal_alternating_sum(p, q, i, j):
@@ -73,14 +78,51 @@ def _literal_alternating_sum(p, q, i, j):
 
 @given(st.integers(-1, 8), st.integers(-1, 8), st.integers(0, 40), st.integers(0, 40))
 def test_alternating_sum_is_its_formula(p, q, i, j):
-    assert _alternating_sum(p, q, i, j) == _literal_alternating_sum(p, q, i, j)
+    assert _alternating_run(p, q, i, j, j + 1) == [_literal_alternating_sum(p, q, i, j)]
 
 
 @given(st.integers(-1, 8), st.integers(-15, 8), st.integers(0, 40))
 def test_alternating_sum_is_its_formula_at_negative_q(p, q, i):
     # The coefficient identity reads the kernel at j = 0 with q down to -15,
     # where C(p+q+t+1, t) and C(p+q+i+2, i-t) take negative upper arguments.
-    assert _alternating_sum(p, q, i, 0) == _literal_alternating_sum(p, q, i, 0)
+    assert _alternating_run(p, q, i, 0, 1) == [_literal_alternating_sum(p, q, i, 0)]
+
+
+@given(st.integers(-1, 8), st.integers(-1, 8), st.integers(0, 25),
+       st.integers(0, 25), st.integers(1, 25))
+def test_a_run_is_its_formula_at_every_cell(p, q, i, j0, length):
+    # Pascal's rule steps the binomials from cell to cell; each cell of the
+    # run must still be the formula evaluated afresh.
+    assert _alternating_run(p, q, i, j0, j0 + length) == [
+        _literal_alternating_sum(p, q, i, j) for j in range(j0, j0 + length)]
+
+
+@given(st.integers(-1, 4), st.integers(-15, -2), st.integers(0, 8),
+       st.integers(0, 4), st.integers(1, 8))
+def test_a_run_is_its_formula_at_negative_q(p, q, i, j0, length):
+    # Upper arguments pass through 0 and below as N = p+q+i+j+2 grows.
+    assert _alternating_run(p, q, i, j0, j0 + length) == [
+        _literal_alternating_sum(p, q, i, j) for j in range(j0, j0 + length)]
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 20), st.integers(0, 20))
+def test_closed_form_table_is_the_recurrence_and_the_closed_form(p, q, imax, jmax):
+    table = closed_form_table((p, q), imax, jmax)
+    assert table.cells == recurrence_table((p, q), imax, jmax).cells
+    assert (table.base, table.imax, table.jmax) == ((p, q), imax, jmax)
+    assert all(table[i, j] == closed_form((p, q), (i, j))
+               for i in range(imax + 1) for j in range(jmax + 1))
+
+
+def test_closed_form_table_shares_the_recurrence_bounds_and_budget():
+    for make in (closed_form_table, recurrence_table):
+        with pytest.raises(ValueError, match="table bounds must be nonnegative"):
+            make((0, 0), -1, 3)
+        with pytest.raises(BudgetError, match="table of 12 cells exceeds the budget of 11"):
+            make((0, 0), 2, 3, max_cells=11)
+        with pytest.raises(ValueError):
+            make((-1, 0), 1, 1)
+        assert make((2, 1), 0, 0).cells == [[1]]
 
 
 def test_skewed_offsets_sum_over_the_shorter_index():

@@ -75,6 +75,16 @@ def test_edge_label_examples():
         edge_label(s12, (4, 2), "H", 4)
 
 
+def test_edge_label_refuses_a_non_int_index_as_validate_does():
+    s11 = LabelScheme(Vertex(1, 1))
+    for idx in (1.0, 2.5, "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            edge_label(s11, (1, 1), "H", idx)
+    # bool is an int subclass, and validate accepts it too
+    assert edge_label(s11, (1, 1), "H", True) == 1
+    assert edge_label(s11, (1, 1), "V", True) == 3
+
+
 def test_decoding_one_label_takes_the_edge_carrying_it():
     # decode of the one-symbol code s_a inverts edge_label at the base.
     for base in [(0, 0), (1, 2), (3, 0), (2, 5)]:
