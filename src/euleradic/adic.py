@@ -26,9 +26,10 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import MaximalPathError
-from .eulerian import ORIGIN, Vertex, _as_vertex, dim_between
+from .eulerian import ORIGIN, Vertex, _as_vertex
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
                     VERTICAL, _enum_args, validate)
+from .ratios import normalized_dim_ratio
 
 
 class IncomingEdge(NamedTuple):
@@ -236,6 +237,4 @@ def cylinder_frequency(prefix: EulerPath, v) -> Fraction:
     prefix: dim(end(prefix), v) / dim(R, v).  Depends on the prefix only
     through its end vertex; zero when v is unreachable from it."""
     _require_root(prefix)
-    end = validate(prefix)
-    v = _as_vertex(v)
-    return Fraction(dim_between(end, v), dim_between(ORIGIN, v))
+    return normalized_dim_ratio(validate(prefix), v)

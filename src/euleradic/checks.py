@@ -3,7 +3,8 @@ the acceptance tests.  Each takes its window and any cap from the caller
 and returns (bad, checked): the offending cells in the order met, and the
 number of cells checked, not counting those a cap skips; `problems` fails
 a check that checked nothing.  Checks read the library through this
-module's namespace, where a test can plant a defect."""
+module's namespace, where a test can plant a defect; the `verify` suites
+read it through here too."""
 
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from .adic import compare, cylinder_measure, maximal_path, orbit, successor
 from .encoding import _encode, decode
 from .errors import MaximalPathError
 from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, classical_eulerian_oracle,
-                       closed_form, closed_form_table, coefficient_identity_check,
-                       comtet_a00, dim_between, recurrence_table)
+                       closed_form, closed_form_sym, closed_form_table,
+                       coefficient_identity_check, comtet_a00, dim_between,
+                       recurrence_table)
 from .goodpaths import (LabelScheme, bad_path_bound, count_good_dp,
                         count_good_enumeration, good_count_table, is_good)
 from .paths import DEFAULT_ENUM_BUDGET, enumerate_paths
@@ -63,10 +65,14 @@ def closed_form_vs_recurrence(bases, cells, table_form, *, max_cells=DEFAULT_CEL
     differs from the recurrence table of each base, both filled over the
     cells' bounding box."""
     cells = list(cells)
+    if any(i < 0 or j < 0 for i, j in cells):
+        raise IndexError("cells must be nonnegative offsets")
     box = [max(c) for c in zip(*cells)] or [-1, -1]
-    tables = {b: recurrence_table(b, *box, max_cells=max_cells) for b in bases}
-    forms = {b: table_form(b, *box, max_cells=max_cells) for b in bases}
-    return _scan(tables, cells, lambda b, off: tables[b][off] == forms[b][off])
+    tables = {b: (recurrence_table(b, *box, max_cells=max_cells).cells,
+                  table_form(b, *box, max_cells=max_cells).cells) for b in bases}
+    bad = [(*b, i, j) for b, (rec, form) in tables.items() for i, j in cells
+           if rec[i][j] != form[i][j]]
+    return bad, len(tables) * len(cells)
 
 
 def origin_vs_descent_oracle(cells):

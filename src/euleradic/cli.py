@@ -9,23 +9,21 @@ All output is byte-deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import islice
+from typing import TYPE_CHECKING
 
-from . import checks
-from .checks import grid, level
-from .adic import orbit
-from .encoding import encode, format_code, parse_code, decode, transport
+# Only what build_parser reads is imported here.  Each command imports the
+# modules it runs when it is called, so a launch loads only those, and a
+# name looked up at call time is whatever the module holds then.
 from .errors import BudgetError
-from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, Vertex, _count, closed_form,
-                       closed_form_sym, recurrence_table)
-from .goodpaths import LabelScheme, count_good_dp, count_good_enumeration
-from .paths import DEFAULT_ENUM_BUDGET, _format_paths, format_path, parse_path
-from .ratios import convergence_report
+from .eulerian import DEFAULT_CELL_BUDGET
+from .paths import DEFAULT_ENUM_BUDGET
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -63,9 +61,13 @@ def _dec(f: Fraction) -> str:
 
 
 def _cmd_table(args) -> int:
+    from .eulerian import recurrence_table
+
     table = recurrence_table((args.p, args.q), args.imax, args.jmax,
                              max_cells=args.max_cells)
     if args.format == "json":
+        import json
+
         # Laid out as json.dumps would, with the cells written by _decimal.
         params = json.dumps({"p": args.p, "q": args.q,
                              "imax": args.imax, "jmax": args.jmax})
@@ -80,6 +82,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    from .ratios import convergence_report
+
     if args.step < 1:
         raise ValueError(f"--step must be positive, got {args.step}")
     samples = [(k, k) for k in range(args.step, args.diag + 1, args.step)]
@@ -94,6 +98,11 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_good(args) -> int:
+    from fractions import Fraction
+
+    from .eulerian import _count
+    from .goodpaths import count_good_dp, count_good_enumeration
+
     base, off = (args.p, args.q), (args.i, args.j)
     if args.method == "enum":
         g = count_good_enumeration(base, off, max_enum=args.max_enum)
@@ -105,12 +114,16 @@ def _cmd_good(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from .encoding import encode, format_code, transport
+    from .goodpaths import LabelScheme
+    from .paths import format_path, parse_path
+
     path = parse_path(args.path)
     if tuple(path.start) != args.src:
         raise ValueError(f"path starts at {tuple(path.start)}, --from says {args.src}")
-    moved = transport(LabelScheme(Vertex(*args.src)), LabelScheme(Vertex(*args.dst)), path)
+    moved = transport(LabelScheme(args.src), LabelScheme(args.dst), path)
     print(format_path(moved))
-    print(format_code(encode(LabelScheme(Vertex(*args.dst)), moved)))
+    print(format_code(encode(LabelScheme(args.dst), moved)))
     return 0
 
 
@@ -119,6 +132,9 @@ _ORBIT_CHUNK = 4096
 
 
 def _cmd_orbit(args) -> int:
+    from .adic import orbit
+    from .paths import _format_paths
+
     lines = _format_paths(orbit(args.vertex, max_enum=args.max_enum))
     while chunk := list(islice(lines, _ORBIT_CHUNK)):
         chunk.append("")        # so the join ends the last line too
@@ -127,74 +143,87 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .encoding import encode, format_code
+    from .goodpaths import LabelScheme
+    from .paths import parse_path
+
     path = parse_path(args.path)
-    print(format_code(encode(LabelScheme(Vertex(*path.start)), path)))
+    print(format_code(encode(LabelScheme(path.start), path)))
     return 0
 
 
 def _cmd_decode(args) -> int:
+    from .encoding import decode, parse_code
+    from .goodpaths import LabelScheme
+    from .paths import format_path
+
     code = parse_code(args.code)
-    print(format_path(decode(LabelScheme(Vertex(*args.base)), code)))
+    print(format_path(decode(LabelScheme(args.base), code)))
     return 0
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _boundary_counts(a):
+def _boundary_counts(checks, a):
     # Endpoints with i or j = n+1 lie below the bijection's threshold;
     # whether their good counts agree is reported, not asserted.
     for n in range(1, a.levels + 1):
         for ep in [(n + 1, n + 1), (n + 1, n + 2), (n + 2, n + 1)]:
-            counts = [count_good_dp(b, (ep[0] - b[0], ep[1] - b[1])) for b in level(n)]
+            counts = [checks.count_good_dp(b, (ep[0] - b[0], ep[1] - b[1]))
+                      for b in checks.level(n)]
             yield (f"boundary endpoint {ep} at level {n}: G values {counts} "
                    f"{'equal' if len(set(counts)) == 1 else 'UNEQUAL'} (not asserted)")
 
 
 # Each suite: its default window, which names every window flag the suite
-# reads, its cases for a window as (name, (bad, checked)) from
-# euleradic.checks, and its INFO lines.
+# reads, its cases for the euleradic.checks module and a window as
+# (name, (bad, checked)), and its INFO lines.  The cases read the library
+# through that module, which _cmd_verify imports only when it runs.
 _SUITES = {
-    "recurrence": (dict(pmax=2, qmax=2, imax=8, jmax=8), lambda a: [
+    "recurrence": (dict(pmax=2, qmax=2, imax=8, jmax=8), lambda checks, a: [
         (f"closed form equals recurrence at base ({p},{q}), window {a.imax}x{a.jmax}",
-         checks.closed_form_vs_recurrence([(p, q)], grid(a.imax, a.jmax),
+         checks.closed_form_vs_recurrence([(p, q)], checks.grid(a.imax, a.jmax),
                                           checks.closed_form_table, max_cells=a.max_cells))
-        for p, q in grid(a.pmax, a.qmax)]),
-    "closedform": (dict(pmax=3, qmax=3, imax=6, jmax=6), lambda a: [
+        for p, q in checks.grid(a.pmax, a.qmax)]),
+    "closedform": (dict(pmax=3, qmax=3, imax=6, jmax=6), lambda checks, a: [
         ("symmetric variant equals primary form on the window", checks.forms_agree(
-            grid(a.pmax, a.qmax), grid(a.imax, a.jmax), closed_form_sym, closed_form)),
+            checks.grid(a.pmax, a.qmax), checks.grid(a.imax, a.jmax),
+            checks.closed_form_sym, checks.closed_form)),
         ("origin form equals primary form at base (0,0)", checks.forms_agree(
-            [ORIGIN], grid(a.imax, a.jmax), checks.origin_form, closed_form)),
+            [checks.ORIGIN], checks.grid(a.imax, a.jmax), checks.origin_form,
+            checks.closed_form)),
         ("origin counts match descent-counting oracle (n <= 8)",
          checks.origin_vs_descent_oracle(
-             [(i, j) for i, j in grid(a.imax, a.jmax) if 1 <= i + j <= 7]))]),
-    "monotonicity": (dict(pmax=2, qmax=3, imax=10, jmax=10), lambda a: [
+             [(i, j) for i, j in checks.grid(a.imax, a.jmax) if 1 <= i + j <= 7]))]),
+    "monotonicity": (dict(pmax=2, qmax=3, imax=10, jmax=10), lambda checks, a: [
         (f"ratio inequalities hold at base ({p},{q}), window {a.imax}x{a.jmax}",
          checks.ratio_monotonicity([(p, q)], a.imax, a.jmax))
         for p in range(a.pmax + 1) for q in range(1, a.qmax + 1)]),
-    "identity": (dict(pmax=3, imax=8), lambda a: [
+    "identity": (dict(pmax=3, imax=8), lambda checks, a: [
         (f"coefficient identity at p={p}, i <= {a.imax}, q in [-15,15]",
          checks.coefficient_identity([p], range(-15, 16), a.imax))
         for p in range(a.pmax + 1)]),
-    "goodcount": (dict(pmax=2, qmax=2, summax=6), lambda a: [
+    "goodcount": (dict(pmax=2, qmax=2, summax=6), lambda checks, a: [
         (f"DP count equals exhaustive count (p,q <= {a.pmax},{a.qmax}; i+j <= {a.summax})",
-         checks.sieve_vs_exhaustive(grid(a.pmax, a.qmax), [
+         checks.sieve_vs_exhaustive(checks.grid(a.pmax, a.qmax), [
              (i, s - i) for s in range(a.summax + 1) for i in range(s + 1)],
              max_enum=a.max_enum)),
         ("good paths exist exactly when i >= q+1 and j >= p+1",
-         checks.nonemptiness_threshold(grid(a.pmax, a.qmax), grid(5, 5))),
+         checks.nonemptiness_threshold(checks.grid(a.pmax, a.qmax), checks.grid(5, 5))),
         ("non-good paths within the two-family bound (p,q >= 1)",
-         checks.bad_paths_bounded([(p, q) for p, q in grid(a.pmax, a.qmax) if p and q],
-                                  8, 8))]),
-    "bijection": (dict(levels=2, epmax=4), lambda a: [
+         checks.bad_paths_bounded([(p, q) for p, q in checks.grid(a.pmax, a.qmax)
+                                   if p and q], 8, 8))]),
+    "bijection": (dict(levels=2, epmax=4), lambda checks, a: [
         (f"transport is a bijection between good-path sets at level {n}, "
          f"endpoints <= ({a.epmax},{a.epmax})", checks.transport_bijection(
-             level(n), [(i, j) for i in range(n + 2, a.epmax + 1)
-                        for j in range(n + 2, a.epmax + 1)], max_paths=a.max_enum))
+             checks.level(n), [(i, j) for i in range(n + 2, a.epmax + 1)
+                               for j in range(n + 2, a.epmax + 1)], max_paths=a.max_enum))
         for n in range(a.levels + 1)], _boundary_counts),
-    "orbit": (dict(levels=5), lambda a: [
+    "orbit": (dict(levels=5), lambda checks, a: [
         (f"orbits at level {n} are complete, ordered, and stop at the maximal path",
-         checks.orbits(level(n), max_enum=a.max_enum)) for n in range(a.levels + 1)] + [
+         checks.orbits(checks.level(n), max_enum=a.max_enum))
+        for n in range(a.levels + 1)] + [
         (f"cylinder measures sum to 1 on each level <= {a.levels + 1}",
          checks.level_measures(range(a.levels + 2)))]),
 }
@@ -204,6 +233,8 @@ _WINDOW_FLAGS = ("pmax", "qmax", "imax", "jmax", "summax", "levels", "epmax")
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     defaults, suite, *infos = _SUITES[args.suite]
     for key in _WINDOW_FLAGS:
         value = getattr(args, key)
@@ -216,10 +247,11 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--{key} must be nonnegative, got {value}")
     window = argparse.Namespace(**{**defaults, **{
         key: value for key, value in vars(args).items() if value is not None}})
-    cases = [(name, result[0], checks.problems(result)) for name, result in suite(window)]
+    cases = [(name, result[0], checks.problems(result))
+             for name, result in suite(checks, window)]
     if not cases:
         raise ValueError(f"the window holds no case of the {args.suite} suite")
-    infos = [line for info in infos for line in info(window)]
+    infos = [line for info in infos for line in info(checks, window)]
     failed = sum(bool(problems) for *_, problems in cases)
     for name, bad, problems in cases:
         problem = f"first failure {bad[0]}" if bad else "".join(problems)

@@ -121,18 +121,24 @@ def recurrence_table(base, imax: int, jmax: int, *,
 
 def closed_form_table(base, imax: int, jmax: int, *,
                       max_cells: int = DEFAULT_CELL_BUDGET) -> CountTable:
-    """Fill a table of A_{p,q}(i, j) by the closed form, one kernel run
-    along j per row; cell for cell it equals closed_form and
-    recurrence_table.
+    """Fill a table of A_{p,q}(i, j) by the closed form, summed over the
+    shorter index: one kernel run along j per row, or, when imax > jmax,
+    one run of the mirror (q, p) along i per column.  Cell for cell it
+    equals closed_form and recurrence_table.
 
     >>> closed_form_table((1, 0), 2, 2).cells
     [[1, 2, 4], [1, 7, 33], [1, 18, 171]]
+    >>> closed_form_table((1, 0), 2, 1).cells
+    [[1, 2], [1, 7], [1, 18]]
     """
     p, q = base = _table_base(base, imax, jmax, max_cells)
+    if imax <= jmax:
+        rows = [_alternating_run(p, q, i, 0, jmax + 1) for i in range(imax + 1)]
+    else:
+        rows = zip(*[_alternating_run(q, p, j, 0, imax + 1) for j in range(jmax + 1)])
     return CountTable(base, imax, jmax, [
-        [_nonnegative(a, p, q, i, j)
-         for j, a in enumerate(_alternating_run(p, q, i, 0, jmax + 1))]
-        for i in range(imax + 1)])
+        [_nonnegative(a, p, q, i, j) for j, a in enumerate(row)]
+        for i, row in enumerate(rows)])
 
 
 def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:

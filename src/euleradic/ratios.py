@@ -13,9 +13,9 @@ so it needs positive denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
+from typing import NamedTuple
 
 from .eulerian import (CountTable, Offset, ORIGIN, Vertex, _as_offset,
                        _as_vertex, _count, dim_between, recurrence_table)
@@ -131,8 +131,7 @@ def normalized_dim_ratio(P, Q) -> Fraction:
     return Fraction(dim_between(P, Q), dim_between(ORIGIN, Q))
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """One sampled point of the normalized-dimension-ratio experiment."""
 
     base: Vertex

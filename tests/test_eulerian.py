@@ -1,5 +1,7 @@
 """Counting formulas: closed forms, recurrence, oracles, identity."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,6 +129,16 @@ def test_closed_form_table_shares_the_recurrence_bounds_and_budget():
 
 def test_skewed_offsets_sum_over_the_shorter_index():
     assert dim_between(ORIGIN, (200000, 0)) == 1
+
+
+def test_a_tall_closed_form_table_sums_over_the_shorter_index():
+    # Run along j, row i of this 2,002-cell table would take i+1 terms
+    # per cell; run along i per column, each cell takes at most 2.
+    start = time.perf_counter()
+    table = closed_form_table(ORIGIN, 1000, 1)
+    elapsed = time.perf_counter() - start
+    assert table.cells == recurrence_table(ORIGIN, 1000, 1).cells
+    assert elapsed < 1.0
 
 
 def test_comtet_matches_origin_and_descent_oracle():

@@ -1,0 +1,108 @@
+"""Startup cost: the package loads a submodule only when one of its names
+is used, and the command line loads only the modules a command runs."""
+
+import argparse
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import euleradic
+import euleradic.cli as cli
+
+SRC = Path(euleradic.__file__).resolve().parents[1]
+BENCH = SRC.parent / "bench"
+
+
+def _fresh(script: str) -> str:
+    """Stdout of a fresh interpreter that runs script with src/ on its path."""
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+
+
+def test_building_the_parser_loads_no_command_module():
+    loaded = _fresh("import sys, euleradic.cli as cli\n"
+                    "cli.build_parser()\n"
+                    "print(*sys.modules)").split()
+    assert "euleradic.cli" in loaded
+    for name in ("adic", "encoding", "goodpaths", "checks", "ratios"):
+        assert f"euleradic.{name}" not in loaded
+    assert "dataclasses" not in loaded and "fractions" not in loaded
+
+
+# What each command loads besides cli, errors, eulerian and paths.
+ALL = {"adic", "checks", "encoding", "goodpaths", "ratios"}
+COMMANDS = [
+    (["table", "--p", "1", "--q", "0", "--imax", "3", "--jmax", "3"], set()),
+    (["orbit", "--vertex", "1,1"], {"adic", "ratios"}),
+    (["good", "--p", "1", "--q", "1", "--i", "4", "--j", "3"], {"goodpaths"}),
+    (["converge", "--p", "1", "--q", "0", "--diag", "10", "--step", "5"], {"ratios"}),
+    (["encode", "--path", "(1,1):H1,V2,H3"], {"encoding", "goodpaths"}),
+    (["decode", "--base", "1,1", "--code", "n=2;s1,s4,h2"], {"encoding", "goodpaths"}),
+    (["transport", "--from", "1,0", "--to", "0,1", "--path", "(1,0):H1,V1,V2"],
+     {"encoding", "goodpaths"}),
+    (["verify", "--suite", "identity", "--pmax", "0", "--imax", "2"], ALL),
+]
+
+
+@pytest.mark.parametrize("argv,extra", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+def test_each_command_loads_only_the_modules_it_runs(argv, extra):
+    out = _fresh("import contextlib, io, sys, euleradic.cli as cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    rc = cli.main({argv!r})\n"
+                 "print(rc, *(m for m in sys.modules if m.startswith('euleradic.')))")
+    rc, *loaded = out.split()
+    assert rc == "0"
+    assert {m.removeprefix("euleradic.") for m in loaded} == {
+        "cli", "errors", "eulerian", "paths", *extra}
+
+
+def test_every_public_name_is_the_attribute_of_its_submodule():
+    for name in euleradic.__all__:
+        module = importlib.import_module(f"euleradic.{euleradic._SUBMODULE[name]}")
+        value = getattr(euleradic, name)
+        assert value is getattr(module, name)
+        if callable(value):
+            assert value.__module__ == module.__name__
+        assert name not in vars(euleradic) and name in dir(euleradic)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        euleradic.no_such_name
+    # Defined in a submodule, but not public.
+    assert not hasattr(euleradic, "DEFAULT_CELL_BUDGET")
+
+
+def test_star_import_binds_exactly_all():
+    names = _fresh("ns = {}\n"
+                   "exec('from euleradic import *', ns)\n"
+                   "print(*sorted(set(ns) - {'__builtins__'}))").split()
+    assert names == euleradic.__all__
+
+
+def test_suite_choices_are_the_suite_table():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    suite = next(action for action in commands.choices["verify"]._actions
+                 if action.dest == "suite")
+    assert list(suite.choices) == sorted(cli._SUITES)
+
+
+def test_the_bench_workloads_load_every_traced_layer():
+    # bench/tracing.py wraps the functions of every layer module and needs
+    # each one loaded once bench/workloads.py is imported, although the
+    # walk and orbit workloads run no command that loads ratios.
+    assert _fresh(f"import sys\n"
+                  f"sys.path[:0] = [{str(SRC)!r}, {str(BENCH)!r}]\n"
+                  "import tracing, workloads\n"
+                  "before = tracing.namespace_snapshot()\n"
+                  "tracer = tracing.Tracer()\n"
+                  "tracer.install()\n"
+                  "tracer.uninstall()\n"
+                  "print(tracing.namespace_snapshot() == before)") == "True\n"
