@@ -66,17 +66,10 @@ def _incoming_rank(child: Vertex, step: Step) -> int:
     return h_bundle + step.edge_index - 1
 
 
-def _require_root(path: EulerPath) -> None:
-    if Vertex(*path.start) != ORIGIN:
-        raise ValueError(f"expected a root path, got start {tuple(path.start)}")
-
-
 def compare(a: EulerPath, b: EulerPath) -> int:
     """-1, 0 or 1 ordering two root paths with the same end vertex, by the
     rank of their edges at the last level where they differ."""
-    _require_root(a)
-    _require_root(b)
-    end_a, end_b = validate(a), validate(b)
+    end_a, end_b = validate(a, ORIGIN), validate(b, ORIGIN)
     if end_a != end_b:
         raise ValueError(f"paths end at different vertices "
                          f"{tuple(end_a)} and {tuple(end_b)}")
@@ -194,8 +187,7 @@ def successor(x: EulerPath) -> EulerPath:
         odometer = _resume[1]
         _resume[0] = _resume[1] = None
     else:
-        _require_root(x)
-        validate(x)
+        validate(x, ORIGIN)
         odometer = _Odometer(x.steps)
     if not odometer._advance():
         x_end = odometer.xs[-1] if odometer.xs else 0
@@ -236,5 +228,4 @@ def cylinder_frequency(prefix: EulerPath, v) -> Fraction:
     """Exact fraction of root-to-v paths that extend the given root
     prefix: dim(end(prefix), v) / dim(R, v).  Depends on the prefix only
     through its end vertex; zero when v is unreachable from it."""
-    _require_root(prefix)
-    return normalized_dim_ratio(validate(prefix), v)
+    return normalized_dim_ratio(validate(prefix, ORIGIN), v)

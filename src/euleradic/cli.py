@@ -118,10 +118,7 @@ def _cmd_transport(args) -> int:
     from .goodpaths import LabelScheme
     from .paths import format_path, parse_path
 
-    path = parse_path(args.path)
-    if tuple(path.start) != args.src:
-        raise ValueError(f"path starts at {tuple(path.start)}, --from says {args.src}")
-    moved = transport(LabelScheme(args.src), LabelScheme(args.dst), path)
+    moved = transport(LabelScheme(args.src), LabelScheme(args.dst), parse_path(args.path))
     print(format_path(moved))
     print(format_code(encode(LabelScheme(args.dst), moved)))
     return 0

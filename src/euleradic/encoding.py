@@ -17,7 +17,7 @@ from operator import index as _index
 from typing import NamedTuple
 
 from .errors import DecodeError
-from .goodpaths import LabelScheme, _require_base
+from .goodpaths import LabelScheme
 from .paths import EulerPath, HORIZONTAL, Step, VERTICAL, validate
 
 KIND_MARKED = "s"
@@ -45,8 +45,7 @@ class EncodingSequence(NamedTuple):
 def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     """Encode a path (any path, good or not) relative to the scheme whose
     base it starts at."""
-    _require_base(scheme, path)
-    validate(path)
+    validate(path, scheme.base)
     return _encode(scheme, path)
 
 
@@ -83,8 +82,7 @@ def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]
     vertical count; an unmarked vertical step raises only the horizontal
     count.
     """
-    _require_base(scheme, path)
-    validate(path)
+    validate(path, scheme.base)
     h, v = (*scheme.bundles[HORIZONTAL], 1), (*scheme.bundles[VERTICAL], 0)
     consumed = dx = 0
     trail = [(0, 0)]

@@ -52,7 +52,8 @@ ORIGIN = Vertex(0, 0)
 
 
 def _as_vertex(v) -> Vertex:
-    x, y = map(index, v)
+    x, y = v
+    x, y = index(x), index(y)
     if x < 0 or y < 0:
         raise ValueError(f"vertex coordinates must be nonnegative, got {tuple(v)!r}")
     return tuple.__new__(Vertex, (x, y))    # without the Python-level __new__

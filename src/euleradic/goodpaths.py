@@ -23,8 +23,8 @@ from typing import Iterator
 from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
                        _count, _fill)
-from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, VERTICAL,
-                    _enum_args, multiplicity, validate)
+from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step, VERTICAL,
+                    _enum_args, validate)
 
 
 @dataclass(frozen=True)
@@ -68,33 +68,21 @@ class LabelScheme:
 
 def edge_label(scheme: LabelScheme, at, direction: str, idx: int) -> int | None:
     """Label index a (1-based, in [1, p+q+2]) carried by the given edge, or
-    None for an unlabeled edge.  `at` must be componentwise >= the base."""
+    None for an unlabeled edge.  `at` must be componentwise >= the base,
+    and the edge is checked as the one step of a path from `at`."""
     p, q = scheme.base
-    x, y = _as_vertex(at)
+    x, y = at = _as_vertex(at)
     if x < p or y < q:
         raise ValueError(f"vertex {(x, y)} is not reachable from base {(p, q)}")
-    if not isinstance(idx, int):
-        raise ValueError(f"edge index {idx!r} is not an integer")
-    size = multiplicity((x, y), direction)
-    if not 1 <= idx <= size:
-        raise ValueError(f"edge index {idx} outside bundle of size {size} "
-                         f"at {(x, y)}")
+    validate(EulerPath(at, (Step(direction, idx),)))
     first, labeled = scheme.bundles[direction]
     return first + idx if idx <= labeled else None
-
-
-def _require_base(scheme: LabelScheme, path: EulerPath) -> None:
-    # A start equal to the base as a tuple needs no Vertex built.
-    if path.start != scheme.base and Vertex(*path.start) != scheme.base:
-        raise ValueError(f"path starts at {tuple(path.start)}, "
-                         f"scheme base is {tuple(scheme.base)}")
 
 
 def is_good(scheme: LabelScheme, path: EulerPath) -> tuple[bool, int]:
     """Walk the path, consuming labels on first marked traversal.  Returns
     (goodness, consumed bitmask)."""
-    _require_base(scheme, path)
-    validate(path)
+    validate(path, scheme.base)
     mask = scheme.consumed(path.steps)
     return mask == scheme.full_mask, mask
 

@@ -6,7 +6,10 @@ where the step is taken (the horizontal bundle at (x, y) has y+1 edges,
 the vertical bundle x+1).  Enumeration is the ground-truth oracle for the
 counting formulas: it walks every parallel edge individually, so its cost
 is proportional to the number of paths, and it shares no arithmetic with
-the closed form or the recurrence.
+the closed form or the recurrence.  Every exhaustive walker, here and in
+goodpaths, pops a stack of entries keyed by the steps left, di * w + dj,
+until code 0; enumerate_paths reads the entries from a table built once
+per walk.  `validate(path, start)` is the one check of a path's start.
 """
 
 from __future__ import annotations
@@ -60,15 +63,25 @@ def multiplicity(v, direction: str) -> int:
                      f"got {direction!r}")
 
 
-def validate(path: EulerPath) -> Vertex:
+def validate(path: EulerPath, start=None) -> Vertex:
     """Walk the path, checking every edge index against the bundle size at
     the running vertex; returns the end vertex.
 
-    Raises PathValidationError naming the first offending step (1-based).
-    Each public per-path call validates its input exactly once, through
-    this name; bench/test_bench.py pins the count of calls.
+    Raises ValueError naming both vertices if a start is given and the
+    path starts elsewhere, then PathValidationError naming the first
+    offending step (1-based).  Each public per-path call validates its
+    input exactly once, through this name; bench/test_bench.py pins the
+    count of calls.
+
+    >>> validate(parse_path("(1,0):V1,H3"), (0, 1))
+    Traceback (most recent call last):
+    ValueError: path starts at (1, 0), expected (0, 1)
     """
     x, y = _as_vertex(path.start)
+    if start is not None:
+        start = _as_vertex(start)
+        if (x, y) != start:
+            raise ValueError(f"path starts at {(x, y)}, expected {tuple(start)}")
     for direction, idx in path.steps:
         if direction == HORIZONTAL:
             if not (isinstance(idx, int) and 1 <= idx <= y + 1):
@@ -96,43 +109,49 @@ def _step_error(path: EulerPath, x: int, y: int) -> PathValidationError:
                                f"size {size} at vertex {(x, y)}")
 
 
+def _entries(child: int, bundle: list[Step]) -> list:
+    # Stack entries of the given steps, each the code it leads to, then itself.
+    row = [child] * (2 * len(bundle))
+    row[1::2] = bundle
+    return row
+
+
 def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
     (p, q), (i, j) = base, off
     total = i + j
     if total == 0:
         yield tuple.__new__(EulerPath, (base, ()))
         return
-    # Enumeration order at a vertex: all horizontal edges by ascending
-    # index, then all vertical edges by ascending index.  The walk is at
-    # (p + a, q + b); options[a][b] lists the steps it may take there.
-    hs = [Step(HORIZONTAL, k) for k in range(1, q + j + 2)] if i else []
-    vs = [Step(VERTICAL, k) for k in range(1, p + i + 2)] if j else []
-    options = [[(hs[:q + b + 1] if a < i else []) + (vs[:p + a + 1] if b < j else [])
-                for b in range(j + 1)] for a in range(i + 1)]
+    # One stack entry per edge still to take: the code of the vertex it
+    # enters, then its step.  Code di * w + dj is (p + i - di, q + j - dj);
+    # rows[code] holds the entries leaving it over shared steps, V then H
+    # by descending index so the pops keep the enumeration order, and
+    # depth[code] is the position of the step entering it.
+    w = j + 1
+    top = i * w + j
+    hs = [Step(HORIZONTAL, k) for k in range(q + j + 1, 0, -1)] if i else []
+    vs = [Step(VERTICAL, k) for k in range(p + i + 1, 0, -1)] if j else []
+    rows = [None] * (top + 1)
+    depth = [None] * (top + 1)
+    for di in range(i + 1):
+        for dj in range(j + 1):
+            code = di * w + dj
+            depth[code] = total - 1 - di - dj
+            row = _entries(code - 1, vs[di:]) if dj else []
+            if di:
+                row += _entries(code - w, hs[dj:])
+            rows[code] = row
     steps: list[Step] = [None] * total
-    a = b = 0
-    last = total - 1
-    stack = [iter(options[0][0])]
+    stack = list(rows[top])
+    pop = stack.pop
     while stack:
-        depth = len(stack) - 1
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if depth:
-                if steps[depth - 1].direction == HORIZONTAL:
-                    a -= 1
-                else:
-                    b -= 1
-            continue
-        steps[depth] = step
-        if depth == last:
-            yield tuple.__new__(EulerPath, (base, tuple(steps)))
+        step = pop()
+        rest = pop()
+        steps[depth[rest]] = step
+        if rest:
+            stack += rows[rest]
         else:
-            if step.direction == HORIZONTAL:
-                a += 1
-            else:
-                b += 1
-            stack.append(iter(options[a][b]))
+            yield tuple.__new__(EulerPath, (base, tuple(steps)))
 
 
 def _enum_args(base, off, max_enum: int) -> tuple[Vertex, Offset]:

@@ -19,15 +19,23 @@ from euleradic import (
     Step,
     Vertex,
     closed_form,
+    compare,
     count_paths_enumeration,
+    cylinder_frequency,
     decode,
+    encode,
     enumerate_paths,
     format_path,
+    is_good,
     maximal_path,
     multiplicity,
     parse_code,
     parse_path,
     path_sort_key,
+    successor,
+    transport,
+    unmarked_counts,
+    unmarked_trail,
     validate,
 )
 
@@ -46,7 +54,9 @@ def test_enumeration_order_origin_to_1_1():
 
 
 def test_enumeration_is_sorted_and_distinct():
-    for base, off in [((0, 0), (2, 2)), ((1, 0), (1, 2)), ((1, 1), (2, 1))]:
+    for base, off in [((0, 0), (2, 2)), ((1, 0), (1, 2)), ((1, 1), (2, 1)),
+                      ((0, 0), (0, 0)), ((0, 2), (3, 0)), ((3, 0), (0, 2)),
+                      ((2, 0), (2, 3))]:
         paths = list(enumerate_paths(base, off))
         assert len(set(paths)) == len(paths) == closed_form(base, off)
         keys = [path_sort_key(x) for x in paths]
@@ -69,6 +79,8 @@ def test_long_walk_leaves_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     assert count_paths_enumeration((0, 0), (5000, 0)) == 1
     assert count_paths_enumeration((0, 1), (0, 5000)) == 1
+    assert len(list(enumerate_paths((0, 1), (0, 5000)))) == 1
+    assert len(list(enumerate_paths((0, 0), (5000, 0)))) == 1
     assert sys.getrecursionlimit() == limit
 
 
@@ -114,6 +126,34 @@ def test_validate_names_offending_step():
     with pytest.raises(PathValidationError) as err:
         validate(EulerPath(Vertex(0, 0), (Step("H", 1), Step("D", 1))))
     assert str(err.value) == "step 2: unknown direction 'D'"
+
+
+# Every public per-path call that takes a path from a fixed start: a
+# scheme's base, here (0, 0), or the root.
+_ROOT_SCHEME = LabelScheme((0, 0))
+START_CHECKED = {
+    "is_good": lambda path: is_good(_ROOT_SCHEME, path),
+    "encode": lambda path: encode(_ROOT_SCHEME, path),
+    "unmarked_trail": lambda path: unmarked_trail(_ROOT_SCHEME, path),
+    "unmarked_counts": lambda path: unmarked_counts(_ROOT_SCHEME, path, 0),
+    "transport": lambda path: transport(_ROOT_SCHEME, _ROOT_SCHEME, path),
+    "compare": lambda path: compare(_p("(0,0):H1,V1"), path),
+    "successor": successor,
+    "cylinder_frequency": lambda path: cylinder_frequency(path, (3, 3)),
+}
+
+
+@pytest.mark.parametrize("call", START_CHECKED.values(), ids=START_CHECKED)
+def test_a_wrong_start_is_refused_before_any_step(call):
+    message = re.escape("path starts at (1, 0), expected (0, 0)")
+    with pytest.raises(ValueError, match=message):
+        call(_p("(1,0):H1,V1"))
+    # The start is checked before the invalid second step.
+    with pytest.raises(ValueError, match=message):
+        call(_p("(1,0):H1,V9"))
+    for start in [(0, 0, 0), (0,)]:
+        with pytest.raises(ValueError):
+            call(EulerPath(start, (Step("H", 1), Step("V", 1))))
 
 
 def test_end_bookkeeping():
