@@ -16,14 +16,12 @@ _SUBMODULE = {name: module for module, names in {
     "errors": "BudgetError DecodeError MaximalPathError PathValidationError",
     "eulerian": "CountTable Offset ORIGIN Vertex classical_eulerian_oracle "
                 "closed_form closed_form_sym closed_form_table "
-                "coefficient_identity_check comtet_a00 dim_between "
-                "generalized_binomial recurrence_table",
+                "coefficient_identity_check comtet_a00 dim_between recurrence_table",
     "goodpaths": "LabelScheme bad_path_bound count_good_dp "
                  "count_good_enumeration edge_label good_count_table "
                  "good_fraction is_good",
     "paths": "EulerPath HORIZONTAL Step VERTICAL count_paths_enumeration "
-             "enumerate_paths format_path multiplicity parse_path "
-             "path_sort_key validate",
+             "enumerate_paths format_path parse_path validate",
     "ratios": "ConvergenceRecord check_monotonicity convergence_report "
               "directional_limit_q divergence_threshold "
               "monotonicity_violations normalized_dim_ratio ratio_down_p "

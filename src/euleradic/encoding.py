@@ -17,12 +17,13 @@ from operator import index as _index
 from typing import NamedTuple
 
 from .errors import DecodeError
-from .goodpaths import LabelScheme
+from .goodpaths import LabelScheme, _Table
 from .paths import EulerPath, HORIZONTAL, Step, VERTICAL, validate
 
 KIND_MARKED = "s"
 KIND_H_UNMARKED = "h"
 KIND_V_UNMARKED = "v"
+KINDS = (KIND_MARKED, KIND_H_UNMARKED, KIND_V_UNMARKED)
 
 
 class EncodingSymbol(NamedTuple):
@@ -51,13 +52,14 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
 
 def _encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     # encode of a path already known to be valid and to start at the base.
-    h = (*scheme.bundles[HORIZONTAL], KIND_H_UNMARKED)
-    v = (*scheme.bundles[VERTICAL], KIND_V_UNMARKED)
+    if not scheme._symbols:     # s, h and v symbols; see LabelScheme
+        scheme._symbols.extend(_Table(EncodingSymbol, kind) for kind in KINDS)
+    marked, h_symbols, v_symbols = scheme._symbols
+    h, v = (*scheme.bundles[HORIZONTAL], h_symbols), (*scheme.bundles[VERTICAL], v_symbols)
     consumed = 0
     symbols: list[EncodingSymbol] = []
-    new = tuple.__new__     # a NamedTuple without its Python-level __new__
     for direction, idx in path.steps:
-        first, labeled, kind = h if direction == HORIZONTAL else v
+        first, labeled, unmarked = h if direction == HORIZONTAL else v
         # Unmarked: the position is idx less the marked edges below it.
         if idx > labeled:
             below = labeled
@@ -65,11 +67,11 @@ def _encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
             below = idx - 1
         else:
             consumed |= 1 << (first + idx - 1)
-            symbols.append(new(EncodingSymbol, (KIND_MARKED, first + idx)))
+            symbols.append(marked[first + idx])
             continue
-        index = idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()
-        symbols.append(new(EncodingSymbol, (kind, index)))
-    return new(EncodingSequence, (sum(scheme.base), tuple(symbols)))
+        symbols.append(unmarked[idx - below
+                                + (consumed >> first & ((1 << below) - 1)).bit_count()])
+    return tuple.__new__(EncodingSequence, (sum(scheme.base), tuple(symbols)))
 
 
 def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]]:
@@ -116,13 +118,13 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                          f"base {tuple(scheme.base)} has level {p + q}")
     bundles = scheme.bundles
     (_, h_labeled), (v_first, v_labeled) = bundles[HORIZONTAL], bundles[VERTICAL]
-    h_mask, consumed = (1 << h_labeled) - 1, 0
+    h_steps, v_steps = scheme._steps[HORIZONTAL], scheme._steps[VERTICAL]
+    h_mask, consumed, labels = (1 << h_labeled) - 1, 0, p + q + 2
     steps: list[Step] = []
-    new = tuple.__new__
     for kind, index in code.symbols:
         if kind == KIND_MARKED:
             a = _index(index)
-            if not 1 <= a <= p + q + 2:
+            if not 1 <= a <= labels:
                 raise DecodeError(f"symbol {len(steps) + 1}: no label s_{index} "
                                   f"at a level-{p + q} base")
             if consumed >> (a - 1) & 1:
@@ -130,36 +132,40 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                                   f"already consumed")
             consumed |= 1 << (a - 1)
             if a <= h_labeled:
-                direction, idx, x = HORIZONTAL, a, x + 1
+                table, idx, x = h_steps, a, x + 1
             else:
-                direction, idx, y = VERTICAL, a - v_first, y + 1
+                table, idx, y = v_steps, a - v_first, y + 1
         else:
             # encode's position, inverted: a bundle's unmarked edges are its
             # c consumed labeled edges, then every edge past the labeled ones.
             if kind == KIND_H_UNMARKED:
-                direction, labeled, size, x = HORIZONTAL, h_labeled, y + 1, x + 1
+                table, labeled, size, x = h_steps, h_labeled, y + 1, x + 1
                 used = consumed & h_mask
             elif kind == KIND_V_UNMARKED:
-                direction, labeled, size, y = VERTICAL, v_labeled, x + 1, y + 1
+                table, labeled, size, y = v_steps, v_labeled, x + 1, y + 1
                 used = consumed >> v_first     # the mask's top bits
             else:
                 raise DecodeError(f"symbol {len(steps) + 1}: unknown kind {kind!r}")
             c = used.bit_count()
             if 1 <= index <= c:
-                # The index-th consumed edge from edge 1: the index-th lowest
-                # 1 bit of `used`, which has as many bits above it as rsplit
-                # leaves in front of it.
-                idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
+                # The index-th consumed edge from edge 1 is the index-th lowest 1
+                # bit of `used`: clear the ones below it, or, deep, cut its text.
+                if index <= 16:
+                    for _ in range(index - 1):
+                        used &= used - 1
+                    idx = (used & -used).bit_length()
+                else:
+                    idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
             else:
                 idx = labeled + _index(index) - c
                 if not labeled < idx <= size:
-                    at = (x - 1, y) if direction == HORIZONTAL else (x, y - 1)
+                    horizontal = table is h_steps
                     raise DecodeError(
                         f"symbol {len(steps) + 1}: only {c + size - labeled} unmarked "
-                        f"{'horizontal' if direction == HORIZONTAL else 'vertical'} "
-                        f"edges at {at}, need position {index}")
-        steps.append(new(Step, (direction, idx)))
-    return new(EulerPath, (scheme.base, tuple(steps)))
+                        f"{'horizontal' if horizontal else 'vertical'} edges at "
+                        f"{(x - 1, y) if horizontal else (x, y - 1)}, need position {index}")
+        steps.append(table[idx])
+    return tuple.__new__(EulerPath, (scheme.base, tuple(steps)))
 
 
 def transport(scheme_from: LabelScheme, scheme_to: LabelScheme,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
 from operator import index, mul, sub
 from typing import NamedTuple
 
@@ -52,7 +51,10 @@ ORIGIN = Vertex(0, 0)
 
 
 def _as_vertex(v) -> Vertex:
-    x, y = v
+    try:
+        x, y = v
+    except ValueError:
+        raise ValueError(f"vertex must be two coordinates, got {v!r}") from None
     x, y = index(x), index(y)
     if x < 0 or y < 0:
         raise ValueError(f"vertex coordinates must be nonnegative, got {tuple(v)!r}")
@@ -293,24 +295,6 @@ def classical_eulerian_oracle(n: int, k: int, *,
         raise BudgetError(f"exhaustive generation of {n}! permutations exceeds "
                           f"the limit n <= {max_n}")
     return _descent_histogram(n)[k]
-
-
-def generalized_binomial(m: int, k: int) -> int:
-    """Binomial coefficient C(m, k) for an arbitrary integer upper argument,
-    via the falling factorial m(m-1)...(m-k+1) / k!.
-
-    Exact for every integer m (the product of k consecutive integers is
-    divisible by k!); this is the polynomial-in-m reading, so negative m
-    is legal.  For m >= 0 it is math.comb, which agrees.
-    """
-    if k < 0:
-        raise ValueError(f"lower argument must be nonnegative, got {k}")
-    if m >= 0:
-        return comb(m, k)
-    num = 1
-    for s in range(k):
-        num *= m - s
-    return num // factorial(k)
 
 
 def coefficient_identity_check(p: int, q: int, i: int) -> tuple[int, int]:

@@ -15,7 +15,6 @@ count_good_dp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -27,7 +26,18 @@ from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step, VERTICAL,
                     _enum_args, validate)
 
 
-@dataclass(frozen=True)
+class _Table(dict):
+    # Plain int index -> the value cls((tag, index)), made on first lookup.
+    __slots__ = ("cls", "tag")
+
+    def __init__(self, cls, tag):
+        self.cls, self.tag = cls, tag
+
+    def __missing__(self, index):
+        value = self[index] = tuple.__new__(self.cls, (self.tag, index))
+        return value
+
+
 class LabelScheme:
     """The labeling of edge bundles relative to a base vertex (p, q).
 
@@ -37,23 +47,37 @@ class LabelScheme:
     mask of labels, bit a-1 stands for s_a, so `bundles` maps each
     direction to its first mask bit and its labeled-edge count:
     H to (0, q+1) and V to (q+1, p+1).  `full_mask` has all p+q+2 label
-    bits set.
+    bits set.  A scheme is immutable, equal by its base alone, and owns
+    the steps decode returns and the symbols encode emits.
     """
 
-    base: Vertex
-    bundles: dict = field(init=False, repr=False, compare=False)
-    full_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "bundles", "label_count", "full_mask", "_steps", "_symbols")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _as_vertex(self.base))
-        p, q = self.base
+    def __init__(self, base):
+        p, q = base = _as_vertex(base)
         bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
-        object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "full_mask", (1 << self.label_count) - 1)
+        for name, value in zip(self.__slots__, (
+                base, bundles, p + q + 2, (1 << (p + q + 2)) - 1,
+                {d: _Table(Step, d) for d in bundles}, [])):
+            object.__setattr__(self, name, value)
 
-    @property
-    def label_count(self) -> int:
-        return self.base.x + self.base.y + 2
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"LabelScheme(base={self.base!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base,))
+
+    def __reduce__(self):
+        return LabelScheme, (self.base,)
 
     def consumed(self, steps) -> int:
         """Mask of the labels a sequence of steps consumes."""

@@ -15,6 +15,7 @@ per walk.  `validate(path, start)` is the one check of a path's start.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, PathValidationError
@@ -52,17 +53,6 @@ class EulerPath(NamedTuple):
         return Vertex(x + dx, y + len(self.steps) - dx)
 
 
-def multiplicity(v, direction: str) -> int:
-    """Number of parallel edges leaving v in the given direction."""
-    x, y = _as_vertex(v)
-    if direction == HORIZONTAL:
-        return y + 1
-    if direction == VERTICAL:
-        return x + 1
-    raise ValueError(f"direction must be {HORIZONTAL!r} or {VERTICAL!r}, "
-                     f"got {direction!r}")
-
-
 def validate(path: EulerPath, start=None) -> Vertex:
     """Walk the path, checking every edge index against the bundle size at
     the running vertex; returns the end vertex.
@@ -77,10 +67,12 @@ def validate(path: EulerPath, start=None) -> Vertex:
     Traceback (most recent call last):
     ValueError: path starts at (1, 0), expected (0, 1)
     """
-    x, y = _as_vertex(path.start)
-    if start is not None:
+    x, y = v = path.start if type(path.start) is Vertex else _as_vertex(path.start)
+    if not (type(x) is int and type(y) is int and x >= 0 and y >= 0):  # not an exact Vertex
+        x, y = v = _as_vertex(v)
+    if start is not None and start is not path.start:
         start = _as_vertex(start)
-        if (x, y) != start:
+        if v != start:
             raise ValueError(f"path starts at {(x, y)}, expected {tuple(start)}")
     for direction, idx in path.steps:
         if direction == HORIZONTAL:
@@ -109,10 +101,11 @@ def _step_error(path: EulerPath, x: int, y: int) -> PathValidationError:
                                f"size {size} at vertex {(x, y)}")
 
 
-def _entries(child: int, bundle: list[Step]) -> list:
-    # Stack entries of the given steps, each the code it leads to, then itself.
-    row = [child] * (2 * len(bundle))
-    row[1::2] = bundle
+def _entries(child: int, bundle: list[Step], skip: int) -> list:
+    # Stack entries of the steps of bundle[skip:], each the code it leads to, then
+    # itself: a list of exact size, filled without copying the steps or a slice.
+    row = [child] * (2 * (len(bundle) - skip))
+    any(map(row.__setitem__, range(1, len(row), 2), islice(bundle, skip, None)))
     return row
 
 
@@ -137,12 +130,12 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
         for dj in range(j + 1):
             code = di * w + dj
             depth[code] = total - 1 - di - dj
-            row = _entries(code - 1, vs[di:]) if dj else []
+            row = _entries(code - 1, vs, di) if dj else []
             if di:
-                row += _entries(code - w, hs[dj:])
+                row += _entries(code - w, hs, dj)
             rows[code] = row
     steps: list[Step] = [None] * total
-    stack = list(rows[top])
+    stack = rows[top]       # no edge enters the start, so no row is pushed twice
     pop = stack.pop
     while stack:
         step = pop()
@@ -200,12 +193,6 @@ def count_paths_enumeration(base, off, *,
         else:
             n += 1
     return n
-
-
-def path_sort_key(path: EulerPath):
-    """Key realizing the enumeration order among equal-length paths."""
-    return tuple((0 if s.direction == HORIZONTAL else 1, s.edge_index)
-                 for s in path.steps)
 
 
 # ASCII digits without leading zeros: numbers only as format_path writes them.

@@ -150,6 +150,66 @@ def test_encoded_and_decoded_values_equal_fresh_ones():
             assert all(type(step) is Step for step in decoded.steps)
 
 
+def _tables(scheme):
+    # A snapshot of the scheme's step and symbol tables.
+    return ({d: dict(t) for d, t in scheme._steps.items()},
+            [dict(t) for t in scheme._symbols])
+
+
+def test_a_scheme_hands_out_its_own_steps_and_symbols():
+    scheme, other = _scheme(1, 1), _scheme(1, 1)
+    paths = list(enumerate_paths((1, 1), (2, 3)))
+    codes = [encode(scheme, path) for path in paths]
+    for path, code in zip(paths, codes):
+        for sym in code.symbols:
+            assert type(sym) is EncodingSymbol and type(sym.index) is int
+        decoded = decode(scheme, code)
+        assert decoded == path
+        assert all(type(s) is Step and type(s.edge_index) is int for s in decoded.steps)
+        # A second call hands out the same objects, not fresh ones.
+        assert all(a is b for a, b in zip(encode(scheme, path).symbols, code.symbols))
+        assert all(a is b for a, b in zip(decode(scheme, code).steps, decoded.steps))
+    # Each table holds one value per distinct index, keyed by a plain int.
+    steps, symbols = _tables(scheme)
+    assert all(type(k) is int and v == Step(d, k) for d, t in steps.items() for k, v in t.items())
+    assert [sorted({s.kind for s in t.values()}) for t in symbols] == [["s"], ["h"], ["v"]]
+    # A bool index gives a plain int one too.
+    (sym,) = encode(scheme, _path((1, 1), [("H", True)])).symbols
+    assert sym == EncodingSymbol("s", 1) and type(sym.index) is int
+    # Two fresh schemes share no table, and an equal scheme starts empty.
+    assert other == scheme and _tables(other) == ({"H": {}, "V": {}}, [])
+    decode(other, codes[-1])
+    encode(other, paths[-1])
+    mine = [*scheme._steps.values(), *scheme._symbols]
+    theirs = [*other._steps.values(), *other._symbols]
+    assert not {id(t) for t in mine} & {id(t) for t in theirs}
+
+
+_DEEP = ",".join(f"s{a}" for a in range(1, 18))
+
+
+@pytest.mark.parametrize("base, prefix, last", [
+    ((1, 1), "s1", ("h", 1.0)),         # the first consumed edge
+    ((1, 1), "s3", ("v", 1.0)),
+    ((1, 1), "s1", ("h", 2.5)),         # past the consumed edges
+    ((1, 1), "s1", ("s", 2.0)),
+    ((1, 1), "", ("v", 1.0)),
+    ((0, 20), _DEEP, ("h", 17.0)),      # a deep consumed edge
+], ids=["h", "v", "unmarked", "marked", "first", "deep"])
+def test_a_float_index_leaves_the_tables_unchanged(base, prefix, last):
+    scheme = _scheme(*base)
+    head = parse_code(f"n={sum(base)};{prefix}")
+    assert len(decode(scheme, head).steps) == len(head.symbols)
+    before = _tables(scheme)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        decode(scheme, EncodingSequence(sum(base), (*head.symbols, EncodingSymbol(*last))))
+    assert _tables(scheme) == before
+    path = EulerPath(Vertex(*base), (Step("H", 1), Step("V", last[1])))
+    with pytest.raises(PathValidationError, match="is not an integer"):
+        encode(scheme, path)
+    assert _tables(scheme) == before
+
+
 def test_parse_code_leaves_the_symbol_table_alone():
     before = module_sizes()
     code = parse_code(f"n=0;h{10**9}")

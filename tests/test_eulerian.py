@@ -18,7 +18,6 @@ from euleradic import (
     coefficient_identity_check,
     comtet_a00,
     dim_between,
-    generalized_binomial,
     recurrence_table,
 )
 from euleradic.eulerian import _alternating_run, _fill
@@ -67,6 +66,24 @@ def test_kernel_at_bases_down_to_minus_one():
             for i in range(9):
                 assert _alternating_run(p, q, i, 0, 9) == rows[i]
                 assert _alternating_run(q, p, i, 0, 9) == [row[i] for row in rows]
+
+
+def generalized_binomial(m: int, k: int) -> int:
+    """Binomial coefficient C(m, k) for an arbitrary integer upper argument,
+    via the falling factorial m(m-1)...(m-k+1) / k!: the kernel's oracle.
+
+    Exact for every integer m (the product of k consecutive integers is
+    divisible by k!); this is the polynomial-in-m reading, so negative m
+    is legal.  For m >= 0 it is math.comb, which agrees.
+    """
+    if k < 0:
+        raise ValueError(f"lower argument must be nonnegative, got {k}")
+    if m >= 0:
+        return comb(m, k)
+    num = 1
+    for s in range(k):
+        num *= m - s
+    return num // factorial(k)
 
 
 def _literal_alternating_sum(p, q, i, j):

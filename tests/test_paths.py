@@ -11,6 +11,7 @@ from math import factorial
 from test_shared_tables import module_sizes
 
 import euleradic.paths as paths_module
+from euleradic.eulerian import _as_vertex
 from euleradic import (
     BudgetError,
     EulerPath,
@@ -28,16 +29,19 @@ from euleradic import (
     format_path,
     is_good,
     maximal_path,
-    multiplicity,
     parse_code,
     parse_path,
-    path_sort_key,
     successor,
     transport,
     unmarked_counts,
     unmarked_trail,
     validate,
 )
+
+
+def path_sort_key(path):
+    """Key realizing the enumeration order among equal-length paths."""
+    return tuple((0 if s.direction == "H" else 1, s.edge_index) for s in path.steps)
 
 
 def _p(text):
@@ -103,6 +107,16 @@ def test_budget_is_checked_before_walking():
         count_paths_enumeration((0, 0), (10, 10), max_enum=100)
 
 
+def multiplicity(v, direction):
+    """Number of parallel edges leaving v in the given direction."""
+    x, y = _as_vertex(v)
+    if direction == "H":
+        return y + 1
+    if direction == "V":
+        return x + 1
+    raise ValueError(f"direction must be 'H' or 'V', got {direction!r}")
+
+
 def test_multiplicity():
     assert multiplicity((2, 3), "H") == 4
     assert multiplicity((2, 3), "V") == 3
@@ -154,6 +168,55 @@ def test_a_wrong_start_is_refused_before_any_step(call):
     for start in [(0, 0, 0), (0,)]:
         with pytest.raises(ValueError):
             call(EulerPath(start, (Step("H", 1), Step("V", 1))))
+
+
+_FROM_1_0 = EulerPath(Vertex(1, 0), (Step("H", 1), Step("V", 2)))
+_FROM_0_1 = EulerPath(Vertex(0, 1), (Step("H", 2), Step("V", 2)))
+_FLOAT = (TypeError, "'float' object cannot be interpreted as an integer")
+_NEGATIVE = (ValueError, "vertex coordinates must be nonnegative, got (-1, 0)")
+_NOT_1_0 = (ValueError, "path starts at (0, 1), expected (1, 0)")
+_NOT_0_1 = (ValueError, "path starts at (1, 0), expected (0, 1)")
+
+
+def _check_outcome(call, expected):
+    # The call returns the expected end vertex, with plain int coordinates,
+    # or raises the expected error with exactly the expected text.
+    if isinstance(expected, Vertex):
+        got = call()
+        assert got == expected and type(got) is Vertex
+        assert all(type(c) is int for c in got)
+    else:
+        error, message = expected
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("start, matching, mismatching", [
+    (Vertex(1.0, 0), _FLOAT, _FLOAT),
+    (Vertex(-1, 0), _NEGATIVE, _NEGATIVE),
+    (Vertex(True, 0), Vertex(2, 1), _NOT_1_0),
+    ([1, 0], Vertex(2, 1), _NOT_1_0),
+    (Vertex(1, 0), Vertex(2, 1), _NOT_1_0),
+    (Vertex(0, 1), _NOT_0_1, Vertex(1, 2)),
+], ids=["float", "negative", "bool", "list", "exact", "other"])
+def test_validate_normalises_any_start_as_before(start, matching, mismatching):
+    _check_outcome(lambda: validate(_FROM_1_0, start), matching)
+    _check_outcome(lambda: validate(_FROM_0_1, start), mismatching)
+
+
+@pytest.mark.parametrize("start, expected", [
+    (Vertex(1, 0), Vertex(2, 1)),
+    (Vertex(True, 0), Vertex(2, 1)),
+    ((1, 0), Vertex(2, 1)),
+    ([1, 0], Vertex(2, 1)),
+    (Vertex(1.0, 0), _FLOAT),
+    (Vertex(-1, 0), _NEGATIVE),
+], ids=["exact", "bool", "tuple", "list", "float", "negative"])
+def test_validate_against_the_path_own_start(start, expected):
+    path = EulerPath(start, _FROM_1_0.steps)
+    _check_outcome(lambda: validate(path, path.start), expected)
+    _check_outcome(lambda: validate(path), expected)
 
 
 def test_end_bookkeeping():

@@ -1,5 +1,6 @@
 """No library call leaves values behind: steps, symbols and their text live
-only as long as the call that built them and the results that hold them."""
+only as long as the call or scheme that built them and the results that
+hold them."""
 
 import gc
 import os
