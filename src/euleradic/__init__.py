@@ -11,7 +11,7 @@ from importlib import import_module
 _SUBMODULE = {name: module for module, names in {
     "adic": "IncomingEdge compare cylinder_frequency cylinder_measure "
             "incoming_order maximal_path minimal_path orbit successor",
-    "encoding": "EncodingSequence EncodingSymbol decode encode format_code "
+    "encoding": "EncodingSequence decode encode format_code "
                 "parse_code transport unmarked_counts unmarked_trail",
     "errors": "BudgetError DecodeError MaximalPathError PathValidationError",
     "eulerian": "CountTable Offset ORIGIN Vertex classical_eulerian_oracle "
@@ -20,8 +20,8 @@ _SUBMODULE = {name: module for module, names in {
     "goodpaths": "LabelScheme bad_path_bound count_good_dp "
                  "count_good_enumeration edge_label good_count_table "
                  "good_fraction is_good",
-    "paths": "EulerPath HORIZONTAL Step VERTICAL count_paths_enumeration "
-             "enumerate_paths format_path parse_path validate",
+    "paths": "EncodingSymbol EulerPath HORIZONTAL Step VERTICAL count_paths_enumeration "
+             "enumerate_paths format_path multiplicity parse_path validate",
     "ratios": "ConvergenceRecord check_monotonicity convergence_report "
               "directional_limit_q divergence_threshold "
               "monotonicity_violations normalized_dim_ratio ratio_down_p "

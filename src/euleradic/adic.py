@@ -48,12 +48,10 @@ def incoming_order(v) -> list[IncomingEdge]:
     edges: list[IncomingEdge] = []
     if x >= 1:
         parent = Vertex(x - 1, y)
-        for idx in range(1, parent.y + 2):
-            edges.append(IncomingEdge(parent, idx))
+        edges += [IncomingEdge(parent, idx) for idx in range(1, parent.y + 2)]
     if y >= 1:
         parent = Vertex(x, y - 1)
-        for idx in range(1, parent.x + 2):
-            edges.append(IncomingEdge(parent, idx))
+        edges += [IncomingEdge(parent, idx) for idx in range(1, parent.x + 2)]
     return edges
 
 

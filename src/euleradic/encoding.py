@@ -17,21 +17,9 @@ from operator import index as _index
 from typing import NamedTuple
 
 from .errors import DecodeError
-from .goodpaths import LabelScheme, _Table
-from .paths import EulerPath, HORIZONTAL, Step, VERTICAL, validate
-
-KIND_MARKED = "s"
-KIND_H_UNMARKED = "h"
-KIND_V_UNMARKED = "v"
-KINDS = (KIND_MARKED, KIND_H_UNMARKED, KIND_V_UNMARKED)
-
-
-class EncodingSymbol(NamedTuple):
-    """One symbol: kind 's' (marked label index), 'h' or 'v' (1-based
-    position among the unmarked edges of that direction)."""
-
-    kind: str
-    index: int
+from .goodpaths import LabelScheme
+from .paths import (EncodingSymbol, EulerPath, HORIZONTAL, KIND_H_UNMARKED, KIND_MARKED,
+                    KIND_V_UNMARKED, Step, VERTICAL, validate)
 
 
 class EncodingSequence(NamedTuple):
@@ -52,8 +40,6 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
 
 def _encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     # encode of a path already known to be valid and to start at the base.
-    if not scheme._symbols:     # s, h and v symbols; see LabelScheme
-        scheme._symbols.extend(_Table(EncodingSymbol, kind) for kind in KINDS)
     marked, h_symbols, v_symbols = scheme._symbols
     h, v = (*scheme.bundles[HORIZONTAL], h_symbols), (*scheme.bundles[VERTICAL], v_symbols)
     consumed = 0
@@ -148,14 +134,10 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                 raise DecodeError(f"symbol {len(steps) + 1}: unknown kind {kind!r}")
             c = used.bit_count()
             if 1 <= index <= c:
-                # The index-th consumed edge from edge 1 is the index-th lowest 1
-                # bit of `used`: clear the ones below it, or, deep, cut its text.
-                if index <= 16:
-                    for _ in range(index - 1):
-                        used &= used - 1
-                    idx = (used & -used).bit_length()
-                else:
-                    idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
+                # The index-th consumed edge from edge 1: the index-th lowest
+                # 1 bit of `used`, which has as many bits above it as rsplit
+                # leaves in front of it.
+                idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
             else:
                 idx = labeled + _index(index) - c
                 if not labeled < idx <= size:
@@ -178,9 +160,7 @@ def transport(scheme_from: LabelScheme, scheme_to: LabelScheme,
     i, j >= p+q+2 (same-base transport is the identity at any size).
     Decoding may fail (DecodeError) outside those conditions.
     """
-    n_from = scheme_from.base.x + scheme_from.base.y
-    n_to = scheme_to.base.x + scheme_to.base.y
-    if n_from != n_to:
+    if scheme_from.base.level != scheme_to.base.level:
         raise ValueError(f"bases {tuple(scheme_from.base)} and "
                          f"{tuple(scheme_to.base)} have different levels")
     return decode(scheme_to, encode(scheme_from, path))

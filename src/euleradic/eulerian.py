@@ -55,6 +55,8 @@ def _as_vertex(v) -> Vertex:
         x, y = v
     except ValueError:
         raise ValueError(f"vertex must be two coordinates, got {v!r}") from None
+    if type(v) is Vertex and type(x) is int and type(y) is int and x >= 0 and y >= 0:
+        return v                            # already exact
     x, y = index(x), index(y)
     if x < 0 or y < 0:
         raise ValueError(f"vertex coordinates must be nonnegative, got {tuple(v)!r}")

@@ -16,26 +16,15 @@ count_good_dp).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Iterator
 
 from .errors import BudgetError
 from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
                        _count, _fill)
-from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step, VERTICAL,
-                    _enum_args, validate)
-
-
-class _Table(dict):
-    # Plain int index -> the value cls((tag, index)), made on first lookup.
-    __slots__ = ("cls", "tag")
-
-    def __init__(self, cls, tag):
-        self.cls, self.tag = cls, tag
-
-    def __missing__(self, index):
-        value = self[index] = tuple.__new__(self.cls, (self.tag, index))
-        return value
+from .paths import (DEFAULT_ENUM_BUDGET, EncodingSymbol, EulerPath, HORIZONTAL,
+                    KINDS, Step, VERTICAL, _Table, _enum_args, validate)
 
 
 class LabelScheme:
@@ -48,7 +37,8 @@ class LabelScheme:
     direction to its first mask bit and its labeled-edge count:
     H to (0, q+1) and V to (q+1, p+1).  `full_mask` has all p+q+2 label
     bits set.  A scheme is immutable, equal by its base alone, and owns
-    the steps decode returns and the symbols encode emits.
+    the steps decode returns, by direction, and the symbols encode emits,
+    by kind in the order of KINDS.
     """
 
     __slots__ = ("base", "bundles", "label_count", "full_mask", "_steps", "_symbols")
@@ -56,10 +46,13 @@ class LabelScheme:
     def __init__(self, base):
         p, q = base = _as_vertex(base)
         bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
-        for name, value in zip(self.__slots__, (
-                base, bundles, p + q + 2, (1 << (p + q + 2)) - 1,
-                {d: _Table(Step, d) for d in bundles}, [])):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "bundles", bundles)
+        object.__setattr__(self, "label_count", p + q + 2)
+        object.__setattr__(self, "full_mask", (1 << (p + q + 2)) - 1)
+        object.__setattr__(self, "_steps", {d: _Table(partial(Step, d)) for d in bundles})
+        object.__setattr__(self, "_symbols", tuple(_Table(partial(EncodingSymbol, k))
+                                                   for k in KINDS))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")

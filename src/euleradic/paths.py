@@ -35,6 +35,20 @@ class Step(NamedTuple):
     edge_index: int
 
 
+KIND_MARKED = "s"
+KIND_H_UNMARKED = "h"
+KIND_V_UNMARKED = "v"
+KINDS = (KIND_MARKED, KIND_H_UNMARKED, KIND_V_UNMARKED)
+
+
+class EncodingSymbol(NamedTuple):
+    """One symbol of encoding.encode: kind 's' (marked label index), 'h' or
+    'v' (1-based position among the unmarked edges of that direction)."""
+
+    kind: str
+    index: int
+
+
 class EulerPath(NamedTuple):
     """A finite path: start vertex plus step sequence.
 
@@ -53,6 +67,17 @@ class EulerPath(NamedTuple):
         return Vertex(x + dx, y + len(self.steps) - dx)
 
 
+def multiplicity(v, direction: str) -> int:
+    """Number of parallel edges leaving v in the given direction."""
+    x, y = _as_vertex(v)
+    if direction == HORIZONTAL:
+        return y + 1
+    if direction == VERTICAL:
+        return x + 1
+    raise ValueError(f"direction must be {HORIZONTAL!r} or {VERTICAL!r}, "
+                     f"got {direction!r}")
+
+
 def validate(path: EulerPath, start=None) -> Vertex:
     """Walk the path, checking every edge index against the bundle size at
     the running vertex; returns the end vertex.
@@ -67,12 +92,10 @@ def validate(path: EulerPath, start=None) -> Vertex:
     Traceback (most recent call last):
     ValueError: path starts at (1, 0), expected (0, 1)
     """
-    x, y = v = path.start if type(path.start) is Vertex else _as_vertex(path.start)
-    if not (type(x) is int and type(y) is int and x >= 0 and y >= 0):  # not an exact Vertex
-        x, y = v = _as_vertex(v)
-    if start is not None and start is not path.start:
+    x, y = _as_vertex(path.start)
+    if start is not None:
         start = _as_vertex(start)
-        if v != start:
+        if (x, y) != start:
             raise ValueError(f"path starts at {(x, y)}, expected {tuple(start)}")
     for direction, idx in path.steps:
         if direction == HORIZONTAL:
@@ -105,7 +128,8 @@ def _entries(child: int, bundle: list[Step], skip: int) -> list:
     # Stack entries of the steps of bundle[skip:], each the code it leads to, then
     # itself: a list of exact size, filled without copying the steps or a slice.
     row = [child] * (2 * (len(bundle) - skip))
-    any(map(row.__setitem__, range(1, len(row), 2), islice(bundle, skip, None)))
+    for k, step in enumerate(islice(bundle, skip, None)):
+        row[2 * k + 1] = step
     return row
 
 
@@ -207,19 +231,24 @@ def format_path(path: EulerPath) -> str:
     return f"({x},{y}):" + ",".join([f"{d}{k}" for d, k in path.steps])
 
 
-class _StepText(dict):
-    # Step -> its text in format_path, made when a step is first looked up.
+class _Table(dict):
+    # key -> make(key), made when the key is first looked up, so a table holds
+    # only what its owner asked of it and lives exactly as long as the owner.
+    __slots__ = ("make",)
 
-    def __missing__(self, step):
-        text = self[step] = f"{step[0]}{step[1]}"
-        return text
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _format_paths(paths: Iterable[EulerPath]) -> Iterator[str]:
     # format_path of each path, with the text of each distinct step made
     # once for the whole run.  Equal steps share one text, so the steps must
     # print alike when equal, as steps with plain int indices do.
-    text = _StepText().__getitem__
+    text = _Table(lambda step: f"{step[0]}{step[1]}").__getitem__
     for path in paths:
         x, y = path.start
         yield f"({x},{y}):" + ",".join(map(text, path.steps))

@@ -126,8 +126,6 @@ def divergence_threshold(base, M) -> int:
 def normalized_dim_ratio(P, Q) -> Fraction:
     """dim(P, Q) / dim(R, Q): the fraction of root-to-Q paths passing
     through P, exactly.  Zero when Q is not componentwise >= P."""
-    P = _as_vertex(P)
-    Q = _as_vertex(Q)
     return Fraction(dim_between(P, Q), dim_between(ORIGIN, Q))
 
 

@@ -177,7 +177,7 @@ def test_a_scheme_hands_out_its_own_steps_and_symbols():
     (sym,) = encode(scheme, _path((1, 1), [("H", True)])).symbols
     assert sym == EncodingSymbol("s", 1) and type(sym.index) is int
     # Two fresh schemes share no table, and an equal scheme starts empty.
-    assert other == scheme and _tables(other) == ({"H": {}, "V": {}}, [])
+    assert other == scheme and _tables(other) == ({"H": {}, "V": {}}, [{}, {}, {}])
     decode(other, codes[-1])
     encode(other, paths[-1])
     mine = [*scheme._steps.values(), *scheme._symbols]

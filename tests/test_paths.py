@@ -11,7 +11,6 @@ from math import factorial
 from test_shared_tables import module_sizes
 
 import euleradic.paths as paths_module
-from euleradic.eulerian import _as_vertex
 from euleradic import (
     BudgetError,
     EulerPath,
@@ -29,6 +28,7 @@ from euleradic import (
     format_path,
     is_good,
     maximal_path,
+    multiplicity,
     parse_code,
     parse_path,
     successor,
@@ -105,16 +105,6 @@ def test_budget_is_checked_before_walking():
         enumerate_paths((0, 0), (10, 10), max_enum=100)
     with pytest.raises(BudgetError):
         count_paths_enumeration((0, 0), (10, 10), max_enum=100)
-
-
-def multiplicity(v, direction):
-    """Number of parallel edges leaving v in the given direction."""
-    x, y = _as_vertex(v)
-    if direction == "H":
-        return y + 1
-    if direction == "V":
-        return x + 1
-    raise ValueError(f"direction must be 'H' or 'V', got {direction!r}")
 
 
 def test_multiplicity():
