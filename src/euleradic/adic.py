@@ -11,11 +11,11 @@ successor map advances the odometer: it increments the lowest digit that
 can still grow and resets everything below it to the minimal path to the
 new parent, in place and in amortized O(1) time per path.  `orbit`
 starts the odometer at the minimal path and advances it through
-`successor`, handing over the odometer with each path, so no path that
-`orbit` yields is parsed or validated.  The odometer builds a fresh step
-for each digit it raises, so nothing it builds outlives the paths that
-hold it.  The symmetric measure assigns exactly 1/(n+1)! to every
-cylinder of length n.
+`successor`, passing the odometer as an argument with each call, so no
+path that `orbit` yields is parsed or validated and no call keeps state
+between calls.  The odometer builds a fresh step for each digit it
+raises, so nothing it builds outlives the paths that hold it.  The
+symmetric measure assigns exactly 1/(n+1)! to every cylinder of length n.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ def incoming_order(v) -> list[IncomingEdge]:
     return edges
 
 
-def _incoming_rank(child: Vertex, step: Step) -> int:
-    # Rank of the edge (described by the step entering `child`) within
-    # incoming_order(child), without materializing the list.
-    if step.direction == HORIZONTAL:
-        return step.edge_index - 1
-    h_bundle = child.y + 1 if child.x >= 1 else 0
-    return h_bundle + step.edge_index - 1
+def _incoming_rank(x: int, y: int, step) -> int:
+    # Rank of the edge (described by the step entering (x, y)) within
+    # incoming_order((x, y)), without materializing the list.
+    direction, idx = step
+    if direction == HORIZONTAL:
+        return idx - 1
+    return (y + 1 if x >= 1 else 0) + idx - 1
 
 
 def compare(a: EulerPath, b: EulerPath) -> int:
@@ -71,20 +71,21 @@ def compare(a: EulerPath, b: EulerPath) -> int:
     if end_a != end_b:
         raise ValueError(f"paths end at different vertices "
                          f"{tuple(end_a)} and {tuple(end_b)}")
-    if a.steps == b.steps:
-        return 0
     # Scan down from the top level.  Above the last differing step the
     # suffixes coincide, so both paths enter the same vertex there: the
-    # end vertex minus the shared suffix.  Ranks there decide.
+    # end vertex minus the shared suffix.  Ranks there decide; steps that
+    # differ only in their container, a list against a tuple, share a rank.
     x, y = end_a
     for sa, sb in zip(reversed(a.steps), reversed(b.steps)):
         if sa != sb:
-            child = Vertex(x, y)
-            return -1 if _incoming_rank(child, sa) < _incoming_rank(child, sb) else 1
-        if sa.direction == HORIZONTAL:
+            ra, rb = _incoming_rank(x, y, sa), _incoming_rank(x, y, sb)
+            if ra != rb:
+                return -1 if ra < rb else 1
+        if sa[0] == HORIZONTAL:
             x -= 1
         else:
             y -= 1
+    return 0
 
 
 _H1, _V1 = Step(HORIZONTAL, 1), Step(VERTICAL, 1)
@@ -124,8 +125,8 @@ class _Odometer:
     def __init__(self, steps):
         # `steps` must be a valid root path; nothing is checked here.
         self.steps = list(steps)
-        self.xs = list(accumulate(int(s.direction == HORIZONTAL) for s in steps))
-        self.ranks = [_incoming_rank(Vertex(x, k + 1 - x), s)
+        self.xs = list(accumulate(int(d == HORIZONTAL) for d, _ in steps))
+        self.ranks = [_incoming_rank(x, k + 1 - x, s)
                       for k, (x, s) in enumerate(zip(self.xs, self.steps))]
         self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
                        len(self.steps))
@@ -162,29 +163,20 @@ class _Odometer:
         return True
 
 
-# A hand-off from `orbit` to `successor`: right before advancing, orbit
-# puts the path it has just yielded and the odometer behind it here, and
-# successor(x) on that very path (by identity) takes them back out instead
-# of checking and reloading x.  The slot is empty again before successor
-# returns, so it holds nothing between calls.
-_resume: list = [None, None]
-
-
 def _built(odometer: _Odometer) -> EulerPath:
     # EulerPath(ORIGIN, ...) without the Python-level __new__ of a NamedTuple.
     return tuple.__new__(EulerPath, (ORIGIN, tuple(odometer.steps)))
 
 
-def successor(x: EulerPath) -> EulerPath:
+def successor(x: EulerPath, *, _odometer: _Odometer | None = None) -> EulerPath:
     """The smallest root path to the same end vertex that is strictly
     greater than x; raises MaximalPathError when x is maximal.  x is
-    checked and loaded first, in time linear in its length, except when
-    orbit hands over the odometer behind it, so walking an orbit takes
-    amortized O(1) time per path."""
-    if _resume[0] is x:
-        odometer = _resume[1]
-        _resume[0] = _resume[1] = None
-    else:
+    checked and loaded first, in time linear in its length.  `_odometer`
+    belongs to orbit: it is the odometer behind x, advanced in place
+    instead of checking and loading x, so walking an orbit takes
+    amortized O(1) time per path; nothing about it is checked."""
+    odometer = _odometer
+    if odometer is None:
         validate(x, ORIGIN)
         odometer = _Odometer(x.steps)
     if not odometer._advance():
@@ -197,8 +189,8 @@ def successor(x: EulerPath) -> EulerPath:
 def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
     """All root paths to v in successor order, from minimal to maximal.
     The exact path count is checked against the budget first.  The paths
-    come from one odometer started at the minimal path and advanced by
-    successor, so none of them is parsed or checked."""
+    come from one odometer started at the minimal path and passed to
+    successor with each path, so none of them is parsed or checked."""
     _, v = _enum_args(ORIGIN, v, max_enum)
 
     def run() -> Iterator[EulerPath]:
@@ -206,9 +198,8 @@ def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
         cur = _built(odometer)
         while True:
             yield cur
-            _resume[0], _resume[1] = cur, odometer
             try:
-                cur = successor(cur)
+                cur = successor(cur, _odometer=odometer)
             except MaximalPathError:
                 return
 

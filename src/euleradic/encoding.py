@@ -169,7 +169,7 @@ def transport(scheme_from: LabelScheme, scheme_to: LabelScheme,
 def format_code(code: EncodingSequence) -> str:
     """Serialize as 'n=<level>;s1,v1,h2,...' (nothing after the semicolon
     for an empty sequence)."""
-    body = ",".join(f"{s.kind}{s.index}" for s in code.symbols)
+    body = ",".join([f"{kind}{index}" for kind, index in code.symbols])
     return f"n={code.base_level};{body}"
 
 

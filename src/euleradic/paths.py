@@ -63,7 +63,7 @@ class EulerPath(NamedTuple):
     def end(self) -> Vertex:
         """End vertex by step bookkeeping alone (no validity check)."""
         x, y = self.start
-        dx = sum(1 for s in self.steps if s.direction == HORIZONTAL)
+        dx = sum(1 for d, _ in self.steps if d == HORIZONTAL)
         return Vertex(x + dx, y + len(self.steps) - dx)
 
 

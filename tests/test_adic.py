@@ -67,6 +67,11 @@ def successor_by_incoming_order(x):
     raise MaximalPathError(f"path to {tuple(verts[-1])} is maximal")
 
 
+def _pairs(path):
+    # The same path with every step a plain (direction, edge index) pair.
+    return EulerPath(path.start, tuple(tuple(step) for step in path.steps))
+
+
 @st.composite
 def root_paths(draw, max_steps=40):
     # Valid root paths: each drawn (direction, r) takes edge r mod the
@@ -104,10 +109,12 @@ def test_compare_total_order_at_1_1():
     d = parse_path("(0,0):H1,V2")
     order = [a, b, c, d]
     for m, x in enumerate(order):
-        assert compare(x, x) == 0
+        assert compare(x, x) == compare(x, _pairs(x)) == 0
+        as_lists = EulerPath(x.start, tuple(map(list, x.steps)))
+        assert compare(x, as_lists) == compare(as_lists, x) == 0
         for y in order[m + 1:]:
-            assert compare(x, y) == -1
-            assert compare(y, x) == 1
+            assert compare(x, y) == compare(_pairs(x), _pairs(y)) == -1
+            assert compare(y, x) == compare(_pairs(y), x) == 1
 
 
 def test_compare_requires_common_end():
@@ -153,15 +160,18 @@ def test_extreme_paths_are_the_incoming_order_walks():
 
 @given(root_paths())
 def test_successor_matches_the_list_based_oracle(x):
+    assert _pairs(x).end() == x.end()
     if x == maximal_path(x.end()):
         with pytest.raises(MaximalPathError):
             successor(x)
         with pytest.raises(MaximalPathError):
+            successor(_pairs(x))
+        with pytest.raises(MaximalPathError):
             successor_by_incoming_order(x)
     else:
         y = successor(x)
-        assert y == successor_by_incoming_order(x)
-        assert compare(x, y) == -1
+        assert y == successor_by_incoming_order(x) == successor(_pairs(x))
+        assert compare(x, y) == compare(_pairs(x), _pairs(y)) == -1
 
 
 def test_successor_of_the_root_path_is_maximal():
@@ -213,6 +223,31 @@ def test_interleaved_orbits_and_successor_calls_keep_the_order():
             if k < len(expected[v]):
                 assert successor(path) == expected[v][k]
     assert got == expected
+
+
+def test_an_orbit_advanced_inside_another_orbit_step_repeats_no_path(monkeypatch):
+    # Orbit (3, 2) takes a step while orbit (2, 3) is inside its first
+    # successor call; each orbit must still yield its own order, once.
+    import euleradic.adic as adic
+
+    expected = {v: list(orbit(v)) for v in [(2, 3), (3, 2)]}
+    other = orbit((3, 2))
+    got_other = [next(other)]
+    real_successor = adic.successor
+    pending = [True]
+
+    def successor_stepping_the_other_orbit(*args, **kwargs):
+        if pending:
+            pending.clear()     # the other orbit's call comes back here
+            got_other.append(next(other))
+        return real_successor(*args, **kwargs)
+
+    monkeypatch.setattr(adic, "successor", successor_stepping_the_other_orbit)
+    got = list(orbit((2, 3)))
+    got_other += other
+    assert not pending
+    assert got == expected[(2, 3)]
+    assert got_other == expected[(3, 2)]
 
 
 def test_successor_steps_equal_fresh_ones():

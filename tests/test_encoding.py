@@ -285,6 +285,8 @@ def test_transport_requires_equal_levels():
 def test_code_text_round_trip():
     code = _code(2, "s1", "s4", "h2", "v1")
     assert format_code(code) == "n=2;s1,s4,h2,v1"
+    assert format_code(EncodingSequence(2, tuple(map(tuple, code.symbols)))) \
+        == "n=2;s1,s4,h2,v1"
     assert parse_code("n=2;s1,s4,h2,v1") == code
     assert parse_code(format_code(_code(0))) == _code(0)
 

@@ -212,6 +212,7 @@ def test_validate_against_the_path_own_start(start, expected):
 def test_end_bookkeeping():
     path = _p("(2,1):H1,H2,V3,H1")
     assert path.end() == Vertex(5, 2)
+    assert EulerPath(path.start, tuple(map(tuple, path.steps))).end() == Vertex(5, 2)
     assert _p("(4,7):").end() == Vertex(4, 7)
 
 

@@ -3,7 +3,9 @@ only as long as the call or scheme that built them and the results that
 hold them."""
 
 import gc
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import euleradic
 import euleradic.paths as paths_module
 from euleradic import (
     DecodeError,
@@ -54,6 +57,15 @@ def module_sizes():
             if name == "euleradic" or name.startswith("euleradic.")
             for attr, value in vars(module).items()
             if not attr.startswith("__") and isinstance(value, _CONTAINERS)}
+
+
+def test_no_module_binds_state_that_calls_could_share():
+    # A module-level list or set is a slot that one call could leave for
+    # another; the only dicts are the constant tables of names and suites.
+    for info in pkgutil.iter_modules(euleradic.__path__):
+        importlib.import_module(f"euleradic.{info.name}")
+    assert module_sizes().keys() == {("euleradic", "_SUBMODULE"),
+                                     ("euleradic.cli", "_SUITES")}
 
 
 # One-step results at a base with a bundle of 10**6 + 1 edges: each builds
