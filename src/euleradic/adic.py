@@ -13,14 +13,17 @@ new parent, in place and in amortized O(1) time per path.  `orbit`
 starts the odometer at the minimal path and advances it through
 `successor`, passing the odometer as an argument with each call, so no
 path that `orbit` yields is parsed or validated and no call keeps state
-between calls.  The odometer builds a fresh step for each digit it
-raises, so nothing it builds outlives the paths that hold it.  The
-symmetric measure assigns exactly 1/(n+1)! to every cylinder of length n.
+between calls; each path costs one successor call.  Each odometer owns
+one table of steps per direction, keyed by edge index, so raising a digit
+looks its step up, and nothing it builds outlives the odometer and the
+paths that hold its steps.  The symmetric measure assigns exactly
+1/(n+1)! to every cylinder of length n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -28,7 +31,7 @@ from typing import Iterator, NamedTuple
 from .errors import MaximalPathError
 from .eulerian import ORIGIN, Vertex, _as_vertex
 from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _enum_args, validate)
+                    VERTICAL, _Table, _enum_args, validate)
 from .ratios import normalized_dim_ratio
 
 
@@ -116,56 +119,22 @@ class _Odometer:
     # xs[k] is the x coordinate after step k.  Levels below `lo` enter
     # vertices on an axis, which have one incoming edge; every level from
     # lo up enters a vertex (x, y) with x, y >= 1 and (y+1) + (x+1)
-    # incoming edges.  Advancing builds one fresh step for the level whose
-    # digit grows and puts the shared _V1 and _H1 below it, so the steps it
-    # holds live only as long as the odometer and the paths built from it.
+    # incoming edges.  `tables` maps an edge index, a plain int, to its H
+    # step and to its V step; the caller's steps and every raised digit
+    # come from them, so a loaded path holds only Steps with int indices.
 
-    __slots__ = ("steps", "xs", "ranks", "lo")
+    __slots__ = ("steps", "xs", "ranks", "lo", "tables")
 
     def __init__(self, steps):
         # `steps` must be a valid root path; nothing is checked here.
-        self.steps = list(steps)
-        self.xs = list(accumulate(int(d == HORIZONTAL) for d, _ in steps))
+        self.tables = h, v = (_Table(partial(Step, HORIZONTAL)),
+                              _Table(partial(Step, VERTICAL)))
+        self.steps = [(h if d == HORIZONTAL else v)[int(idx)] for d, idx in steps]
+        self.xs = list(accumulate(int(d == HORIZONTAL) for d, _ in self.steps))
         self.ranks = [_incoming_rank(x, k + 1 - x, s)
                       for k, (x, s) in enumerate(zip(self.xs, self.steps))]
         self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
                        len(self.steps))
-
-    def _advance(self) -> bool:
-        # Step to the successor in place; False when the path is maximal.
-        steps, xs, ranks = self.steps, self.xs, self.ranks
-        m = self.lo
-        # Level m enters a vertex of level m + 1, which from lo up has
-        # m + 3 incoming edges; rank m + 2 is the last.
-        while m < len(steps) and ranks[m] == m + 2:
-            m += 1
-        if m == len(steps):
-            return False
-        x = xs[m]
-        y = m + 1 - x
-        rank = ranks[m] = ranks[m] + 1
-        # The horizontal bundle from (x-1, y) holds ranks 0..y, the
-        # vertical bundle from (x, y-1) the ranks after it.
-        if rank <= y:
-            steps[m] = tuple.__new__(Step, (HORIZONTAL, rank + 1))
-            px, py = x - 1, y
-        else:
-            steps[m] = tuple.__new__(Step, (VERTICAL, rank - y))
-            px, py = x, y - 1
-        # Levels below m become the minimal path to the new parent,
-        # V1 * py then H1 * px.  A parent on an axis has one root path,
-        # already in place unless the parent changed (rank y to y + 1).
-        if px and py or rank == y + 1:
-            steps[:m] = _minimal_steps(px, py)
-            xs[:m] = [0] * py + list(range(1, px + 1))
-            ranks[:m] = [0] * m
-        self.lo = py if px and py else m
-        return True
-
-
-def _built(odometer: _Odometer) -> EulerPath:
-    # EulerPath(ORIGIN, ...) without the Python-level __new__ of a NamedTuple.
-    return tuple.__new__(EulerPath, (ORIGIN, tuple(odometer.steps)))
 
 
 def successor(x: EulerPath, *, _odometer: _Odometer | None = None) -> EulerPath:
@@ -174,28 +143,56 @@ def successor(x: EulerPath, *, _odometer: _Odometer | None = None) -> EulerPath:
     checked and loaded first, in time linear in its length.  `_odometer`
     belongs to orbit: it is the odometer behind x, advanced in place
     instead of checking and loading x, so walking an orbit takes
-    amortized O(1) time per path; nothing about it is checked."""
+    amortized O(1) time per path; nothing about it is checked.  Every
+    step of the result is a Step with an int index, whatever pairs x
+    was given with."""
     odometer = _odometer
     if odometer is None:
         validate(x, ORIGIN)
         odometer = _Odometer(x.steps)
-    if not odometer._advance():
-        x_end = odometer.xs[-1] if odometer.xs else 0
-        end = (x_end, len(odometer.xs) - x_end)
-        raise MaximalPathError(f"path to {end} is maximal")
-    return _built(odometer)
+    steps, xs, ranks = odometer.steps, odometer.xs, odometer.ranks
+    m, n = odometer.lo, len(steps)
+    # Level m enters a vertex of level m + 1, which from lo up has m + 3
+    # incoming edges; rank m + 2 is the last.
+    while m < n and ranks[m] == m + 2:
+        m += 1
+    if m == n:
+        x_end = xs[-1] if xs else 0
+        raise MaximalPathError(f"path to {(x_end, n - x_end)} is maximal")
+    cx = xs[m]
+    cy = m + 1 - cx
+    rank = ranks[m] = ranks[m] + 1
+    h, v = odometer.tables
+    # The horizontal bundle from (cx-1, cy) holds ranks 0..cy, the vertical
+    # bundle from (cx, cy-1) the ranks after it.
+    if rank <= cy:
+        steps[m] = h[rank + 1]
+        px, py = cx - 1, cy
+    else:
+        steps[m] = v[rank - cy]
+        px, py = cx, cy - 1
+    # Levels below m become the minimal path to the new parent, V1 * py
+    # then H1 * px.  A parent on an axis has one root path, already in
+    # place unless the parent changed (rank cy to cy + 1).
+    if px and py or rank == cy + 1:
+        steps[:m] = _minimal_steps(px, py)
+        xs[:m] = [0] * py + list(range(1, px + 1))
+        ranks[:m] = [0] * m
+    odometer.lo = py if px and py else m
+    return tuple.__new__(EulerPath, (ORIGIN, tuple(steps)))
 
 
 def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
     """All root paths to v in successor order, from minimal to maximal.
     The exact path count is checked against the budget first.  The paths
     come from one odometer started at the minimal path and passed to
-    successor with each path, so none of them is parsed or checked."""
+    successor with each path, so none of them is parsed or checked, and
+    each costs one successor call."""
     _, v = _enum_args(ORIGIN, v, max_enum)
 
     def run() -> Iterator[EulerPath]:
         odometer = _Odometer(_minimal_steps(*v))
-        cur = _built(odometer)
+        cur = tuple.__new__(EulerPath, (ORIGIN, tuple(odometer.steps)))
         while True:
             yield cur
             try:

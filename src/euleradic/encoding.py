@@ -13,6 +13,7 @@ bijectively onto that of another.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from operator import index as _index
 from typing import NamedTuple
 
@@ -105,7 +106,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     bundles = scheme.bundles
     (_, h_labeled), (v_first, v_labeled) = bundles[HORIZONTAL], bundles[VERTICAL]
     h_steps, v_steps = scheme._steps[HORIZONTAL], scheme._steps[VERTICAL]
-    h_mask, consumed, labels = (1 << h_labeled) - 1, 0, p + q + 2
+    h_used, v_used, consumed, labels = [], [], 0, p + q + 2
     steps: list[Step] = []
     for kind, index in code.symbols:
         if kind == KIND_MARKED:
@@ -118,26 +119,22 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                                   f"already consumed")
             consumed |= 1 << (a - 1)
             if a <= h_labeled:
-                table, idx, x = h_steps, a, x + 1
+                table, idx, used, x = h_steps, a, h_used, x + 1
             else:
-                table, idx, y = v_steps, a - v_first, y + 1
+                table, idx, used, y = v_steps, a - v_first, v_used, y + 1
+            insort(used, idx)
         else:
-            # encode's position, inverted: a bundle's unmarked edges are its
-            # c consumed labeled edges, then every edge past the labeled ones.
+            # encode's position, inverted: a bundle's unmarked edges are its c consumed
+            # labeled edges, ascending in `used`, then every edge past the labeled ones.
             if kind == KIND_H_UNMARKED:
-                table, labeled, size, x = h_steps, h_labeled, y + 1, x + 1
-                used = consumed & h_mask
+                table, labeled, size, used, x = h_steps, h_labeled, y + 1, h_used, x + 1
             elif kind == KIND_V_UNMARKED:
-                table, labeled, size, y = v_steps, v_labeled, x + 1, y + 1
-                used = consumed >> v_first     # the mask's top bits
+                table, labeled, size, used, y = v_steps, v_labeled, x + 1, v_used, y + 1
             else:
                 raise DecodeError(f"symbol {len(steps) + 1}: unknown kind {kind!r}")
-            c = used.bit_count()
+            c = len(used)
             if 1 <= index <= c:
-                # The index-th consumed edge from edge 1: the index-th lowest
-                # 1 bit of `used`, which has as many bits above it as rsplit
-                # leaves in front of it.
-                idx = used.bit_length() - len(f"{used:b}".rsplit("1", index)[0])
+                idx = used[_index(index) - 1]
             else:
                 idx = labeled + _index(index) - c
                 if not labeled < idx <= size:

@@ -247,11 +247,16 @@ class _Table(dict):
 def _format_paths(paths: Iterable[EulerPath]) -> Iterator[str]:
     # format_path of each path, with the text of each distinct step made
     # once for the whole run.  Equal steps share one text, so the steps must
-    # print alike when equal, as steps with plain int indices do.
+    # print alike when equal, as steps with plain int indices do.  The start's
+    # text is kept while the start is the same tuple, which cannot change.
     text = _Table(lambda step: f"{step[0]}{step[1]}").__getitem__
+    start = head = None
     for path in paths:
-        x, y = path.start
-        yield f"({x},{y}):" + ",".join(map(text, path.steps))
+        if path.start is not start:
+            x, y = path.start
+            head = f"({x},{y}):"
+            start = path.start if isinstance(path.start, tuple) else None
+        yield head + ",".join(map(text, path.steps))
 
 
 def parse_path(text: str) -> EulerPath:

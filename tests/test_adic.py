@@ -250,6 +250,21 @@ def test_an_orbit_advanced_inside_another_orbit_step_repeats_no_path(monkeypatch
     assert got_other == expected[(3, 2)]
 
 
+@pytest.mark.parametrize("steps", [
+    (("V", 1), ("H", 1)),
+    (["V", 1], ["H", 1]),
+    [("V", True), ("H", True)],
+], ids=["pairs", "lists", "bools"])
+def test_successor_of_plain_steps_returns_only_steps(steps):
+    # Every step of the result is a Step with an int index, the levels the
+    # odometer does not raise included.
+    y = successor(EulerPath(ORIGIN, steps))
+    assert y == parse_path("(0,0):V1,H2")
+    assert [(step.direction, type(step.edge_index)) for step in y.steps] \
+        == [("V", int), ("H", int)]
+    assert all(type(step) is Step for step in y.steps)
+
+
 def test_successor_steps_equal_fresh_ones():
     for path in [*orbit((2, 3)), maximal_path((3, 2))]:
         fresh = EulerPath(ORIGIN, tuple(Step(*s) for s in path.steps))

@@ -514,6 +514,16 @@ def test_decode_at_a_large_base_does_not_scan_bundles():
     assert elapsed < 0.5
 
 
+def test_deep_consumed_edges_round_trip():
+    # From (0, 10**4): H1..H10000 marks 10**4 labels of one bundle, then
+    # each of 1,000 steps on H5000 selects the 5000th consumed edge.
+    path = _path((0, 10**4), [("H", k) for k in range(1, 10**4 + 1)] + [("H", 5000)] * 1000)
+    code = encode(_scheme(0, 10**4), path)
+    assert code.symbols[10**4 - 1:] == (EncodingSymbol("s", 10**4),) \
+        + (EncodingSymbol("h", 5000),) * 1000
+    assert decode(_scheme(0, 10**4), code) == path
+
+
 def _reference_validate(path):
     # validate as it was before its loop branched once per step: the
     # bundle size is looked up first, then each check raises in turn.  Kept

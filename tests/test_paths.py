@@ -272,6 +272,28 @@ def test_format_path_matches_the_per_step_text(x, y, steps):
         == [format_path(path), format_path(reverse), format_path(path)]
 
 
+def _mutated_start_paths():
+    # Two paths on one list start, mutated after the first is yielded.
+    start = [0, 0]
+    yield EulerPath(start, (Step("H", 1),))
+    start[0] = 1
+    yield EulerPath(start, (Step("V", 2),))
+
+
+@pytest.mark.parametrize("paths", [
+    # Equal starts, distinct objects; (True, 0) equals (1, 0) but prints apart.
+    lambda: [EulerPath(Vertex(2, 3), (Step("H", 4),)),
+             EulerPath(Vertex(2, 3), (Step("V", 3),)),
+             EulerPath(Vertex(True, 0), ()), EulerPath(Vertex(1, 0), ())],
+    lambda: [EulerPath(start, ()) for start in [Vertex(0, 0), Vertex(1, 0)] * 3],
+    lambda: [EulerPath((4, 5), (Step("V", 5),)), EulerPath((4, 5), ())],
+    _mutated_start_paths,
+], ids=["equal-starts", "alternating", "plain-tuple", "mutated-list"])
+def test_format_paths_reuses_a_start_text_only_while_it_holds(paths):
+    # The orbit command's formatter keeps the text of a start across lines.
+    assert list(paths_module._format_paths(paths())) == list(map(format_path, paths()))
+
+
 def test_format_path_writes_each_step_as_itself():
     # A step equal to a shared one but built otherwise keeps its own text.
     path = EulerPath(Vertex(0, 0), (Step("H", 1), Step("V", True), Step("H", 2.0)))
