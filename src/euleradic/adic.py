@@ -28,10 +28,10 @@ from itertools import accumulate
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .errors import MaximalPathError
+from .errors import DEFAULT_ENUM_BUDGET, MaximalPathError
 from .eulerian import ORIGIN, Vertex, _as_vertex
-from .paths import (DEFAULT_ENUM_BUDGET, EulerPath, HORIZONTAL, Step,
-                    VERTICAL, _Table, _enum_args, validate)
+from .paths import (EulerPath, HORIZONTAL, Step, VERTICAL, _Table, _enum_args,
+                    validate)
 from .ratios import normalized_dim_ratio
 
 

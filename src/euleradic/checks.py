@@ -13,14 +13,14 @@ from operator import ne
 
 from .adic import compare, cylinder_measure, maximal_path, orbit, successor
 from .encoding import _encode, decode
-from .errors import MaximalPathError
-from .eulerian import (DEFAULT_CELL_BUDGET, ORIGIN, classical_eulerian_oracle,
-                       closed_form, closed_form_sym, closed_form_table,
+from .errors import DEFAULT_CELL_BUDGET, DEFAULT_ENUM_BUDGET, MaximalPathError
+from .eulerian import (ORIGIN, classical_eulerian_oracle, closed_form,
+                       closed_form_sym, closed_form_table,
                        coefficient_identity_check, comtet_a00, dim_between,
                        recurrence_table)
 from .goodpaths import (LabelScheme, bad_path_bound, count_good_dp,
                         count_good_enumeration, good_count_table, is_good)
-from .paths import DEFAULT_ENUM_BUDGET, enumerate_paths
+from .paths import enumerate_paths
 from .ratios import check_monotonicity
 
 

@@ -15,12 +15,11 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
-# Only what build_parser reads is imported here.  Each command imports the
-# modules it runs when it is called, so a launch loads only those, and a
-# name looked up at call time is whatever the module holds then.
-from .errors import BudgetError
-from .eulerian import DEFAULT_CELL_BUDGET
-from .paths import DEFAULT_ENUM_BUDGET
+# Only errors is imported here: it holds the budget defaults build_parser
+# reads.  Each command imports the modules it runs when it is called, so a
+# launch loads only those, and a name looked up at call time is whatever
+# the module holds then.
+from .errors import DEFAULT_CELL_BUDGET, DEFAULT_ENUM_BUDGET, BudgetError
 
 if TYPE_CHECKING:
     from fractions import Fraction

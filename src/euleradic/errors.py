@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and resource budgets shared across the package."""
+
+#: Default cap on the number of cells a single table may hold.
+DEFAULT_CELL_BUDGET = 10**7
+
+#: Default cap on the number of paths an exhaustive operation may visit.
+DEFAULT_ENUM_BUDGET = 10**7
 
 
 class BudgetError(RuntimeError):

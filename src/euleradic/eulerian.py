@@ -20,10 +20,7 @@ from itertools import permutations
 from operator import index, mul, sub
 from typing import NamedTuple
 
-from .errors import BudgetError
-
-#: Default cap on the number of cells a single table may hold.
-DEFAULT_CELL_BUDGET = 10**7
+from .errors import DEFAULT_CELL_BUDGET, BudgetError
 
 #: Largest n for which the permutation oracle will run (n! permutations).
 DEFAULT_ORACLE_LIMIT = 10

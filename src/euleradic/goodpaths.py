@@ -20,11 +20,10 @@ from functools import partial
 from math import comb
 from typing import Iterator
 
-from .errors import BudgetError
-from .eulerian import (DEFAULT_CELL_BUDGET, Vertex, _as_offset, _as_vertex,
-                       _count, _fill)
-from .paths import (DEFAULT_ENUM_BUDGET, EncodingSymbol, EulerPath, HORIZONTAL,
-                    KINDS, Step, VERTICAL, _Table, _enum_args, validate)
+from .errors import DEFAULT_CELL_BUDGET, DEFAULT_ENUM_BUDGET, BudgetError
+from .eulerian import Vertex, _as_offset, _as_vertex, _count, _fill
+from .paths import (EncodingSymbol, EulerPath, HORIZONTAL, KINDS, Step, VERTICAL,
+                    _Table, _enum_args, validate)
 
 
 class LabelScheme:

@@ -18,14 +18,11 @@ import re
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BudgetError, PathValidationError
+from .errors import DEFAULT_ENUM_BUDGET, BudgetError, PathValidationError
 from .eulerian import Offset, Vertex, _as_offset, _as_vertex, _count
 
 HORIZONTAL = "H"
 VERTICAL = "V"
-
-#: Default cap on the number of paths an exhaustive operation may visit.
-DEFAULT_ENUM_BUDGET = 10**7
 
 
 class Step(NamedTuple):

@@ -24,28 +24,50 @@ def _fresh(script: str) -> str:
                           env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
 
 
+# Building the parser needs only the budget defaults, which errors holds.
+PARSER = {"euleradic", "euleradic.errors", "euleradic.cli"}
+
+
 def test_building_the_parser_loads_no_command_module():
     loaded = _fresh("import sys, euleradic.cli as cli\n"
                     "cli.build_parser()\n"
                     "print(*sys.modules)").split()
-    assert "euleradic.cli" in loaded
-    for name in ("adic", "encoding", "goodpaths", "checks", "ratios"):
-        assert f"euleradic.{name}" not in loaded
+    assert {m for m in loaded if m.startswith("euleradic")} == PARSER
     assert "dataclasses" not in loaded and "fractions" not in loaded
 
 
-# What each command loads besides cli, errors, eulerian and paths.  No
-# command loads dataclasses, which alone cost about 12 ms of a launch.
-ALL = {"adic", "checks", "encoding", "goodpaths", "ratios"}
+def test_python_m_help_loads_only_the_parser_modules():
+    # runpy._run_module_as_main is what the interpreter's -m switch runs;
+    # the module it runs is sys.modules["__main__"], named by its spec.
+    out = _fresh("import runpy, sys\n"
+                 "sys.argv[1:] = ['--help']\n"
+                 "try:\n"
+                 "    runpy._run_module_as_main('euleradic')\n"
+                 "except SystemExit as stop:\n"
+                 "    rc = stop.code\n"
+                 "specs = (getattr(m, '__spec__', None) for m in list(sys.modules.values()))\n"
+                 "print(rc, *(s.name for s in specs if s and s.name.startswith('euleradic')))")
+    usage, *_, last = out.splitlines()
+    rc, *loaded = last.split()
+    assert usage.startswith("usage:") and rc == "0"
+    assert set(loaded) == PARSER | {"euleradic.__main__"}
+
+
+# What each command loads besides cli and errors.  No command loads
+# dataclasses, which alone cost about 12 ms of a launch.
+ALL = {"adic", "checks", "encoding", "eulerian", "goodpaths", "paths", "ratios"}
 COMMANDS = [
-    (["table", "--p", "1", "--q", "0", "--imax", "3", "--jmax", "3"], set()),
-    (["orbit", "--vertex", "1,1"], {"adic", "ratios"}),
-    (["good", "--p", "1", "--q", "1", "--i", "4", "--j", "3"], {"goodpaths"}),
-    (["converge", "--p", "1", "--q", "0", "--diag", "10", "--step", "5"], {"ratios"}),
-    (["encode", "--path", "(1,1):H1,V2,H3"], {"encoding", "goodpaths"}),
-    (["decode", "--base", "1,1", "--code", "n=2;s1,s4,h2"], {"encoding", "goodpaths"}),
+    (["table", "--p", "1", "--q", "0", "--imax", "3", "--jmax", "3"], {"eulerian"}),
+    (["orbit", "--vertex", "1,1"], {"adic", "eulerian", "paths", "ratios"}),
+    (["good", "--p", "1", "--q", "1", "--i", "4", "--j", "3"],
+     {"eulerian", "goodpaths", "paths"}),
+    (["converge", "--p", "1", "--q", "0", "--diag", "10", "--step", "5"],
+     {"eulerian", "ratios"}),
+    (["encode", "--path", "(1,1):H1,V2,H3"], {"encoding", "eulerian", "goodpaths", "paths"}),
+    (["decode", "--base", "1,1", "--code", "n=2;s1,s4,h2"],
+     {"encoding", "eulerian", "goodpaths", "paths"}),
     (["transport", "--from", "1,0", "--to", "0,1", "--path", "(1,0):H1,V1,V2"],
-     {"encoding", "goodpaths"}),
+     {"encoding", "eulerian", "goodpaths", "paths"}),
     (["verify", "--suite", "identity", "--pmax", "0", "--imax", "2"], ALL),
 ]
 
@@ -59,8 +81,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra):
                  "      *(m for m in sys.modules if m.startswith('euleradic.')))")
     rc, dataclasses, *loaded = out.split()
     assert rc == "0" and dataclasses == "False"
-    assert {m.removeprefix("euleradic.") for m in loaded} == {
-        "cli", "errors", "eulerian", "paths", *extra}
+    assert {m.removeprefix("euleradic.") for m in loaded} == {"cli", "errors", *extra}
 
 
 def test_every_public_name_is_the_attribute_of_its_submodule():
@@ -87,13 +108,37 @@ def test_star_import_binds_exactly_all():
     assert names == euleradic.__all__
 
 
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_suite_choices_are_the_suite_table():
-    parser = cli.build_parser()
-    commands = next(action for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    suite = next(action for action in commands.choices["verify"]._actions
+    suite = next(action for action in _commands()["verify"]._actions
                  if action.dest == "suite")
     assert list(suite.choices) == sorted(cli._SUITES)
+
+
+def test_the_budget_defaults_have_one_home():
+    from euleradic import adic, checks, errors, eulerian, goodpaths, paths
+
+    assert eulerian.DEFAULT_CELL_BUDGET is errors.DEFAULT_CELL_BUDGET
+    assert paths.DEFAULT_ENUM_BUDGET is errors.DEFAULT_ENUM_BUDGET
+    budgets = {"max_cells": errors.DEFAULT_CELL_BUDGET,
+               "max_enum": errors.DEFAULT_ENUM_BUDGET}
+    flags = [action for command in _commands().values()
+             for action in command._actions if action.dest in budgets]
+    assert {action.dest for action in flags} == set(budgets)
+    for action in flags:
+        assert action.default == budgets[action.dest], action.option_strings
+    for function in (eulerian.recurrence_table, eulerian.closed_form_table,
+                     paths.enumerate_paths, paths.count_paths_enumeration,
+                     goodpaths.count_good_enumeration, adic.orbit,
+                     checks.closed_form_vs_recurrence, checks.sieve_vs_exhaustive,
+                     checks.orbits):
+        defaults = {k: v for k, v in function.__kwdefaults__.items() if k in budgets}
+        assert defaults and defaults.items() <= budgets.items(), function.__qualname__
 
 
 def test_the_bench_workloads_load_every_traced_layer():
