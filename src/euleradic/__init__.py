@@ -21,7 +21,7 @@ _SUBMODULE = {name: module for module, names in {
                  "count_good_enumeration edge_label good_count_table "
                  "good_fraction is_good",
     "paths": "EncodingSymbol EulerPath HORIZONTAL Step VERTICAL count_paths_enumeration "
-             "enumerate_paths format_path multiplicity parse_path validate",
+             "enumerate_paths format_path parse_path validate",
     "ratios": "ConvergenceRecord check_monotonicity convergence_report "
               "directional_limit_q divergence_threshold "
               "monotonicity_violations normalized_dim_ratio ratio_down_p "

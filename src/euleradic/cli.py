@@ -117,9 +117,10 @@ def _cmd_transport(args) -> int:
     from .goodpaths import LabelScheme
     from .paths import format_path, parse_path
 
-    moved = transport(LabelScheme(args.src), LabelScheme(args.dst), parse_path(args.path))
+    dst = LabelScheme(args.dst)
+    moved = transport(LabelScheme(args.src), dst, parse_path(args.path))
     print(format_path(moved))
-    print(format_code(encode(LabelScheme(args.dst), moved)))
+    print(format_code(encode(dst, moved)))
     return 0
 
 
@@ -225,7 +226,8 @@ _SUITES = {
 }
 
 
-_WINDOW_FLAGS = ("pmax", "qmax", "imax", "jmax", "summax", "levels", "epmax")
+_WINDOW_FLAGS = tuple(dict.fromkeys(key for defaults, *_ in _SUITES.values()
+                                    for key in defaults))
 
 
 def _cmd_verify(args) -> int:

@@ -106,7 +106,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     bundles = scheme.bundles
     (_, h_labeled), (v_first, v_labeled) = bundles[HORIZONTAL], bundles[VERTICAL]
     h_steps, v_steps = scheme._steps[HORIZONTAL], scheme._steps[VERTICAL]
-    h_used, v_used, consumed, labels = [], [], 0, p + q + 2
+    h_used, v_used, consumed, labels = [], [], 0, scheme.label_count
     steps: list[Step] = []
     for kind, index in code.symbols:
         if kind == KIND_MARKED:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 from operator import index, mul, sub
 from typing import NamedTuple
 
@@ -61,9 +62,13 @@ def _as_vertex(v) -> Vertex:
 
 
 def _as_offset(off) -> Offset:
-    i, j = map(index, off)
+    try:
+        i, j = off
+    except ValueError:
+        raise ValueError(f"offset must be two components, got {off!r}") from None
+    i, j = index(i), index(j)
     if i < 0 or j < 0:
-        raise ValueError(f"offset components must be nonnegative, got {tuple(off)!r}")
+        raise ValueError(f"offset components must be nonnegative, got {(i, j)!r}")
     return Offset(i, j)
 
 
@@ -245,7 +250,7 @@ def comtet_a00(off) -> int:
 
     Sum over t = 0..i of (-1)^(i-t) C(i+j+2, i-t) (1+t)^(i+j+1); the
     textbook closed form for the Eulerian number with i descents on
-    i+j+1 letters.
+    i+j+1 letters, summed here without the path-count kernel.
 
     >>> comtet_a00((1, 1))
     4
@@ -253,8 +258,8 @@ def comtet_a00(off) -> int:
     66
     """
     i, j = _as_offset(off)
-    # At base (0, 0) the kernel's C(t+1, t) (1+t)^(i+j) is this (1+t)^(i+j+1).
-    return _nonnegative(_alternating_run(0, 0, i, j, j + 1)[0], 0, 0, i, j)
+    return sum((-1) ** (i - t) * comb(i + j + 2, i - t) * (t + 1) ** (i + j + 1)
+               for t in range(i + 1))
 
 
 def dim_between(src, dst) -> int:
@@ -277,8 +282,7 @@ def _descent_histogram(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def classical_eulerian_oracle(n: int, k: int, *,
-                              max_n: int = DEFAULT_ORACLE_LIMIT) -> int:
+def classical_eulerian_oracle(n: int, k: int) -> int:
     """Count permutations of {1..n} with exactly k descents, by exhaustive
     generation.  Independent cross-check oracle; deliberately knows nothing
     about the path-counting formulas.
@@ -290,9 +294,9 @@ def classical_eulerian_oracle(n: int, k: int, *,
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= k < n:
         raise ValueError(f"descent count k must satisfy 0 <= k < n, got k={k}")
-    if n > max_n:
+    if n > DEFAULT_ORACLE_LIMIT:
         raise BudgetError(f"exhaustive generation of {n}! permutations exceeds "
-                          f"the limit n <= {max_n}")
+                          f"the limit n <= {DEFAULT_ORACLE_LIMIT}")
     return _descent_histogram(n)[k]
 
 

@@ -64,17 +64,6 @@ class EulerPath(NamedTuple):
         return Vertex(x + dx, y + len(self.steps) - dx)
 
 
-def multiplicity(v, direction: str) -> int:
-    """Number of parallel edges leaving v in the given direction."""
-    x, y = _as_vertex(v)
-    if direction == HORIZONTAL:
-        return y + 1
-    if direction == VERTICAL:
-        return x + 1
-    raise ValueError(f"direction must be {HORIZONTAL!r} or {VERTICAL!r}, "
-                     f"got {direction!r}")
-
-
 def validate(path: EulerPath, start=None) -> Vertex:
     """Walk the path, checking every edge index against the bundle size at
     the running vertex; returns the end vertex.

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -260,6 +261,52 @@ def test_verify_negative_window_exits_two(capsys, suite, flag):
     rc, out, err = run(capsys, "verify", "--suite", suite, f"--{flag}", "-2")
     assert rc == 2 and out == ""
     assert err == f"error: --{flag} must be nonnegative, got -2\n"
+
+
+def _required(*names):
+    return [((f"--{name}",), name, None, True, None) for name in names]
+
+
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, False, None)
+_BUDGET = {key: ((f"--{key.replace('_', '-')}",), key, 10**7, False, None)
+           for key in ("max_cells", "max_enum")}
+
+# Every action of every subcommand, in order, as (option strings, dest,
+# default, required, choices).
+PARSER_SHAPE = [
+    ("table", [_HELP, *_required("p", "q", "imax", "jmax"),
+               (("--format",), "format", "csv", False, ["csv", "json"]),
+               _BUDGET["max_cells"]]),
+    ("verify", [_HELP, (("--suite",), "suite", None, True,
+                        ["bijection", "closedform", "goodcount", "identity",
+                         "monotonicity", "orbit", "recurrence"]),
+                *[((f"--{key}",), key, None, False, None) for key in
+                  ("pmax", "qmax", "imax", "jmax", "summax", "levels", "epmax")],
+                _BUDGET["max_cells"], _BUDGET["max_enum"]]),
+    ("converge", [_HELP, *_required("p", "q", "diag"),
+                  (("--step",), "step", 1, False, None)]),
+    ("good", [_HELP, *_required("p", "q", "i", "j"),
+              (("--method",), "method", "dp", False, ["dp", "enum"]),
+              _BUDGET["max_enum"]]),
+    ("transport", [_HELP, (("--from",), "src", None, True, None),
+                   (("--to",), "dst", None, True, None), *_required("path")]),
+    ("orbit", [_HELP, *_required("vertex"), _BUDGET["max_enum"]]),
+    ("encode", [_HELP, *_required("path")]),
+    ("decode", [_HELP, *_required("base", "code")]),
+]
+
+
+def test_the_parser_keeps_its_shape():
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [(name, [(tuple(a.option_strings), a.dest, a.default, a.required,
+                     None if a.choices is None else list(a.choices))
+                    for a in command._actions])
+            for name, command in sub.choices.items()] == PARSER_SHAPE
+    verify_flags = {flag for a in sub.choices["verify"]._actions
+                    for flag in a.option_strings}
+    assert {f"--{key}" for window, *_ in cli._SUITES.values()
+            for key in window} <= verify_flags
 
 
 def test_usage_errors_exit_two(capsys):

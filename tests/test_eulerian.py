@@ -1,5 +1,6 @@
 """Counting formulas: closed forms, recurrence, oracles, identity."""
 
+import inspect
 import time
 
 import pytest
@@ -7,17 +8,25 @@ from hypothesis import given, strategies as st
 
 from math import comb, factorial
 
+import euleradic.eulerian as eulerian
 from euleradic import (
     BudgetError,
     ORIGIN,
     Vertex,
+    bad_path_bound,
     classical_eulerian_oracle,
     closed_form,
     closed_form_sym,
     closed_form_table,
     coefficient_identity_check,
     comtet_a00,
+    count_good_dp,
+    count_good_enumeration,
+    count_paths_enumeration,
     dim_between,
+    enumerate_paths,
+    good_fraction,
+    ratio_down_q,
     recurrence_table,
 )
 from euleradic.eulerian import _alternating_run, _fill
@@ -167,6 +176,17 @@ def test_comtet_matches_origin_and_descent_oracle():
                 assert a == classical_eulerian_oracle(i + j + 1, i)
 
 
+def test_comtet_sums_without_the_kernel(monkeypatch):
+    # The origin form is a check on the kernel only if it does not call it.
+    cells = [(i, j) for i in range(30) for j in range(30)]
+    expected = [closed_form(ORIGIN, off) for off in cells]
+
+    def kernel(*args):
+        raise AssertionError("comtet_a00 ran the closed-form kernel")
+    monkeypatch.setattr(eulerian, "_alternating_run", kernel)
+    assert [comtet_a00(off) for off in cells] == expected
+
+
 def test_level_sums_are_factorials():
     for n in range(9):
         assert sum(comtet_a00((i, n - i)) for i in range(n + 1)) == factorial(n + 1)
@@ -183,6 +203,44 @@ def test_oracle_domain_errors():
         classical_eulerian_oracle(11, 3)
     assert classical_eulerian_oracle(9, 4) == 156190
     assert classical_eulerian_oracle(6, 0) == 1
+
+
+def test_the_oracle_limit_is_the_module_constant(monkeypatch):
+    assert "max_n" not in inspect.signature(classical_eulerian_oracle).parameters
+    with pytest.raises(BudgetError, match=r"the limit n <= 10$"):
+        classical_eulerian_oracle(11, 0)
+    # n = 10 passes the limit.  The sweep of 10! permutations takes seconds,
+    # so a stand-in records the n it is asked for.
+    swept = []
+    monkeypatch.setattr(eulerian, "_descent_histogram",
+                        lambda n: swept.append(n) or tuple(range(n)))
+    assert classical_eulerian_oracle(10, 7) == 7 and swept == [10]
+
+
+# Each public reader of an offset, called with a fixed base.
+OFFSET_READERS = {
+    "closed_form": lambda off: closed_form(ORIGIN, off),
+    "closed_form_sym": lambda off: closed_form_sym(ORIGIN, off),
+    "comtet_a00": comtet_a00,
+    "count_good_dp": lambda off: count_good_dp(ORIGIN, off),
+    "good_fraction": lambda off: good_fraction(ORIGIN, off),
+    "bad_path_bound": lambda off: bad_path_bound(ORIGIN, off),
+    "ratio_down_q": lambda off: ratio_down_q((1, 1), off),
+    "enumerate_paths": lambda off: enumerate_paths(ORIGIN, off),
+    "count_paths_enumeration": lambda off: count_paths_enumeration(ORIGIN, off),
+    "count_good_enumeration": lambda off: count_good_enumeration(ORIGIN, off),
+}
+
+
+@pytest.mark.parametrize("name", OFFSET_READERS)
+def test_a_malformed_offset_is_named(name):
+    read = OFFSET_READERS[name]
+    for off in [(1, 2, 3), (1,), []]:
+        with pytest.raises(ValueError) as err:
+            read(off)
+        assert str(err.value) == f"offset must be two components, got {off!r}"
+    with pytest.raises(TypeError):
+        read(5)
 
 
 def test_negative_coordinates_rejected():

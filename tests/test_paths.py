@@ -28,7 +28,6 @@ from euleradic import (
     format_path,
     is_good,
     maximal_path,
-    multiplicity,
     parse_code,
     parse_path,
     successor,
@@ -108,11 +107,19 @@ def test_budget_is_checked_before_walking():
 
 
 def test_multiplicity():
-    assert multiplicity((2, 3), "H") == 4
-    assert multiplicity((2, 3), "V") == 3
-    assert multiplicity((0, 0), "H") == 1
-    with pytest.raises(ValueError):
-        multiplicity((1, 1), "D")
+    # The bundle sizes y+1 (horizontal) and x+1 (vertical), as validate
+    # enforces them: the last edge of each bundle is taken, the next is not.
+    for start, direction, size in [((2, 3), "H", 4), ((2, 3), "V", 3),
+                                   ((0, 0), "H", 1), ((0, 0), "V", 1)]:
+        path = EulerPath(Vertex(*start), (Step(direction, size),))
+        x, y = start
+        assert validate(path) == ((x + 1, y) if direction == "H" else (x, y + 1))
+        with pytest.raises(PathValidationError) as err:
+            validate(path._replace(steps=(Step(direction, size + 1),)))
+        assert str(err.value) == (f"step 1: edge index {size + 1} outside bundle "
+                                  f"of size {size} at vertex {start}")
+    with pytest.raises(ValueError, match="unknown direction 'D'"):
+        validate(EulerPath(Vertex(1, 1), (Step("D", 1),)))
 
 
 def test_validate_names_offending_step():
