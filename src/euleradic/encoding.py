@@ -41,24 +41,24 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
 
 def _encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
     # encode of a path already known to be valid and to start at the base.
-    marked, h_symbols, v_symbols = scheme._symbols
-    h, v = (*scheme.bundles[HORIZONTAL], h_symbols), (*scheme.bundles[VERTICAL], v_symbols)
+    marked = scheme._symbols[0]
+    h, v = scheme._directions
     consumed = 0
     symbols: list[EncodingSymbol] = []
+    append = symbols.append
     for direction, idx in path.steps:
         first, labeled, unmarked = h if direction == HORIZONTAL else v
         # Unmarked: the position is idx less the marked edges below it.
         if idx > labeled:
             below = labeled
-        elif consumed >> (first + idx - 1) & 1:
+        elif consumed & (bit := 1 << (first + idx - 1)):
             below = idx - 1
         else:
-            consumed |= 1 << (first + idx - 1)
-            symbols.append(marked[first + idx])
+            consumed |= bit
+            append(marked[first + idx])
             continue
-        symbols.append(unmarked[idx - below
-                                + (consumed >> first & ((1 << below) - 1)).bit_count()])
-    return tuple.__new__(EncodingSequence, (sum(scheme.base), tuple(symbols)))
+        append(unmarked[idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()])
+    return tuple.__new__(EncodingSequence, (scheme.label_count - 2, tuple(symbols)))
 
 
 def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]]:
@@ -72,12 +72,12 @@ def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]
     count.
     """
     validate(path, scheme.base)
-    h, v = (*scheme.bundles[HORIZONTAL], 1), (*scheme.bundles[VERTICAL], 0)
+    h, v = scheme._directions
     consumed = dx = 0
     trail = [(0, 0)]
     for direction, idx in path.steps:
-        first, labeled, horizontal = h if direction == HORIZONTAL else v
-        dx += horizontal
+        first, labeled, _ = h if direction == HORIZONTAL else v
+        dx += direction == HORIZONTAL
         if idx <= labeled:
             consumed |= 1 << (first + idx - 1)
         # A bundle's unmarked edges: its consumed labeled ones, plus one
@@ -103,33 +103,39 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     if code.base_level != p + q:
         raise ValueError(f"code was taken at level {code.base_level}, "
                          f"base {tuple(scheme.base)} has level {p + q}")
-    bundles = scheme.bundles
-    (_, h_labeled), (v_first, v_labeled) = bundles[HORIZONTAL], bundles[VERTICAL]
+    (_, h_labeled, _), (v_first, v_labeled, _) = scheme._directions
     h_steps, v_steps = scheme._steps[HORIZONTAL], scheme._steps[VERTICAL]
     h_used, v_used, consumed, labels = [], [], 0, scheme.label_count
     steps: list[Step] = []
+    append = steps.append
     for kind, index in code.symbols:
         if kind == KIND_MARKED:
             a = _index(index)
             if not 1 <= a <= labels:
                 raise DecodeError(f"symbol {len(steps) + 1}: no label s_{index} "
                                   f"at a level-{p + q} base")
-            if consumed >> (a - 1) & 1:
+            bit = 1 << (a - 1)
+            if consumed & bit:
                 raise DecodeError(f"symbol {len(steps) + 1}: label s_{index} "
                                   f"already consumed")
-            consumed |= 1 << (a - 1)
+            consumed |= bit
+            # At most three names per assignment: more would build a tuple per symbol.
             if a <= h_labeled:
-                table, idx, used, x = h_steps, a, h_used, x + 1
+                table, used, idx = h_steps, h_used, a
+                x += 1
             else:
-                table, idx, used, y = v_steps, a - v_first, v_used, y + 1
+                table, used, idx = v_steps, v_used, a - v_first
+                y += 1
             insort(used, idx)
         else:
             # encode's position, inverted: a bundle's unmarked edges are its c consumed
             # labeled edges, ascending in `used`, then every edge past the labeled ones.
             if kind == KIND_H_UNMARKED:
-                table, labeled, size, used, x = h_steps, h_labeled, y + 1, h_used, x + 1
+                table, used, labeled = h_steps, h_used, h_labeled
+                size, x = y + 1, x + 1
             elif kind == KIND_V_UNMARKED:
-                table, labeled, size, used, y = v_steps, v_labeled, x + 1, v_used, y + 1
+                table, used, labeled = v_steps, v_used, v_labeled
+                size, y = x + 1, y + 1
             else:
                 raise DecodeError(f"symbol {len(steps) + 1}: unknown kind {kind!r}")
             c = len(used)
@@ -143,7 +149,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                         f"symbol {len(steps) + 1}: only {c + size - labeled} unmarked "
                         f"{'horizontal' if horizontal else 'vertical'} edges at "
                         f"{(x - 1, y) if horizontal else (x, y - 1)}, need position {index}")
-        steps.append(table[idx])
+        append(table[idx])
     return tuple.__new__(EulerPath, (scheme.base, tuple(steps)))
 
 
@@ -157,7 +163,7 @@ def transport(scheme_from: LabelScheme, scheme_to: LabelScheme,
     i, j >= p+q+2 (same-base transport is the identity at any size).
     Decoding may fail (DecodeError) outside those conditions.
     """
-    if scheme_from.base.level != scheme_to.base.level:
+    if scheme_from.label_count != scheme_to.label_count:
         raise ValueError(f"bases {tuple(scheme_from.base)} and "
                          f"{tuple(scheme_to.base)} have different levels")
     return decode(scheme_to, encode(scheme_from, path))

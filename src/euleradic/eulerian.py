@@ -57,7 +57,7 @@ def _as_vertex(v) -> Vertex:
         return v                            # already exact
     x, y = index(x), index(y)
     if x < 0 or y < 0:
-        raise ValueError(f"vertex coordinates must be nonnegative, got {tuple(v)!r}")
+        raise ValueError(f"vertex coordinates must be nonnegative, got {(x, y)!r}")
     return tuple.__new__(Vertex, (x, y))    # without the Python-level __new__
 
 

@@ -35,23 +35,23 @@ class LabelScheme:
     mask of labels, bit a-1 stands for s_a, so `bundles` maps each
     direction to its first mask bit and its labeled-edge count:
     H to (0, q+1) and V to (q+1, p+1).  `full_mask` has all p+q+2 label
-    bits set.  A scheme is immutable, equal by its base alone, and owns
-    the steps decode returns, by direction, and the symbols encode emits,
-    by kind in the order of KINDS.
+    bits set.  A scheme is immutable, equal by its base alone, and owns the
+    steps decode returns, the symbols encode emits (by kind, as in KINDS)
+    and `_directions`: for H then V, (first bit, count, unmarked symbols).
     """
 
-    __slots__ = ("base", "bundles", "label_count", "full_mask", "_steps", "_symbols")
+    __slots__ = ("base", "bundles", "label_count", "full_mask", "_steps", "_symbols",
+                 "_directions")
 
     def __init__(self, base):
         p, q = base = _as_vertex(base)
         bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "label_count", p + q + 2)
-        object.__setattr__(self, "full_mask", (1 << (p + q + 2)) - 1)
-        object.__setattr__(self, "_steps", {d: _Table(partial(Step, d)) for d in bundles})
-        object.__setattr__(self, "_symbols", tuple(_Table(partial(EncodingSymbol, k))
-                                                   for k in KINDS))
+        symbols = tuple(_Table(partial(EncodingSymbol, k)) for k in KINDS)
+        for name, value in zip(self.__slots__, (
+                base, bundles, p + q + 2, (1 << (p + q + 2)) - 1,
+                {d: _Table(partial(Step, d)) for d in bundles}, symbols,
+                ((0, q + 1, symbols[1]), (q + 1, p + 1, symbols[2]))), strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")

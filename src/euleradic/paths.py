@@ -70,18 +70,22 @@ def validate(path: EulerPath, start=None) -> Vertex:
 
     Raises ValueError naming both vertices if a start is given and the
     path starts elsewhere, then PathValidationError naming the first
-    offending step (1-based).  Each public per-path call validates its
-    input exactly once, through this name; bench/test_bench.py pins the
-    count of calls.
+    offending step (1-based).  An exact start (a Vertex of nonnegative ints)
+    is read as it is, any other normalised.  Each public per-path call
+    validates its input exactly once, through this name; bench/test_bench.py pins it.
 
     >>> validate(parse_path("(1,0):V1,H3"), (0, 1))
     Traceback (most recent call last):
     ValueError: path starts at (1, 0), expected (0, 1)
     """
-    x, y = _as_vertex(path.start)
-    if start is not None:
+    x, y = s = path.start if type(path.start) is Vertex else _as_vertex(path.start)
+    if not (type(x) is int and type(y) is int and x >= 0 and y >= 0):
+        x, y = s = _as_vertex(s)
+    if start is not None and start is not path.start and not (
+            type(start) is Vertex and start == s
+            and type(start[0]) is int and type(start[1]) is int):
         start = _as_vertex(start)
-        if (x, y) != start:
+        if s != start:
             raise ValueError(f"path starts at {(x, y)}, expected {tuple(start)}")
     for direction, idx in path.steps:
         if direction == HORIZONTAL:

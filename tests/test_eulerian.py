@@ -246,6 +246,14 @@ def test_a_malformed_offset_is_named(name):
 def test_negative_coordinates_rejected():
     with pytest.raises(ValueError):
         closed_form((-1, 0), (1, 1))
+
+
+def test_a_negative_vertex_is_named_as_read():
+    # The message names the coordinates read, also from an iterator.
+    for vertex in [iter((-1, 0)), (-1, 0), [-1, 0]]:
+        with pytest.raises(ValueError) as err:
+            closed_form(vertex, (1, 1))
+        assert str(err.value) == "vertex coordinates must be nonnegative, got (-1, 0)"
     with pytest.raises(ValueError):
         closed_form((0, 0), (-1, 1))
     with pytest.raises(ValueError):

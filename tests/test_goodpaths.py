@@ -15,6 +15,7 @@ from euleradic import (
     EncodingSequence,
     EncodingSymbol,
     LabelScheme,
+    Step,
     Vertex,
     encode,
     bad_path_bound,
@@ -153,6 +154,20 @@ def test_a_label_scheme_survives_pickle_and_copy():
         assert other.bundles == scheme.bundles and other.full_mask == scheme.full_mask
         assert repr(other) == repr(scheme) and hash(other) == hash(scheme)
         assert is_good(other, parse_path("(1,2):H1,H2,H3,V1,V2"))[0]
+
+
+def test_consumed_reads_plain_pairs_and_refuses_unknown_directions():
+    # consumed does not validate: it reads any (direction, index) pairs, and
+    # a direction other than H or V raises KeyError naming it.
+    scheme = LabelScheme((1, 1))
+    for steps in ([Step("D", 1)], [("X", 99)], [("H", 1), ("V", 5), ("D", 1)]):
+        with pytest.raises(KeyError) as err:
+            scheme.consumed(steps)
+        assert err.value.args == (steps[-1][0],)
+    pairs = [("H", 1), ("V", 2), ("H", 3), ("V", 4)]
+    assert scheme.consumed(pairs) == scheme.consumed([Step(*s) for s in pairs]) == 0b1001
+    assert scheme.consumed(iter([("V", 1), ("H", 2)])) == 0b0110
+    assert scheme.consumed([]) == 0
 
 
 def test_is_good_examples():

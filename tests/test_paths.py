@@ -11,6 +11,7 @@ from math import factorial
 from test_shared_tables import module_sizes
 
 import euleradic.paths as paths_module
+from euleradic.eulerian import _as_vertex
 from euleradic import (
     BudgetError,
     EulerPath,
@@ -167,6 +168,24 @@ def test_a_wrong_start_is_refused_before_any_step(call):
             call(EulerPath(start, (Step("H", 1), Step("V", 1))))
 
 
+class _SubVertex(Vertex):
+    """A Vertex subclass: not exact, so validate normalises it."""
+
+
+class _Int(int):
+    """An int subclass coordinate."""
+
+
+class _Index:
+    """A coordinate that is only an index."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 _FROM_1_0 = EulerPath(Vertex(1, 0), (Step("H", 1), Step("V", 2)))
 _FROM_0_1 = EulerPath(Vertex(0, 1), (Step("H", 2), Step("V", 2)))
 _FLOAT = (TypeError, "'float' object cannot be interpreted as an integer")
@@ -196,7 +215,12 @@ def _check_outcome(call, expected):
     ([1, 0], Vertex(2, 1), _NOT_1_0),
     (Vertex(1, 0), Vertex(2, 1), _NOT_1_0),
     (Vertex(0, 1), _NOT_0_1, Vertex(1, 2)),
-], ids=["float", "negative", "bool", "list", "exact", "other"])
+    (_SubVertex(1, 0), Vertex(2, 1), _NOT_1_0),
+    (Vertex(_Int(1), _Int(0)), Vertex(2, 1), _NOT_1_0),
+    (Vertex(_Index(1), 0), Vertex(2, 1), _NOT_1_0),
+    (Vertex(_Index(-1), 0), _NEGATIVE, _NEGATIVE),
+], ids=["float", "negative", "bool", "list", "exact", "other", "subclass", "int-subclass",
+        "index-only", "negative-index"])
 def test_validate_normalises_any_start_as_before(start, matching, mismatching):
     _check_outcome(lambda: validate(_FROM_1_0, start), matching)
     _check_outcome(lambda: validate(_FROM_0_1, start), mismatching)
@@ -209,11 +233,92 @@ def test_validate_normalises_any_start_as_before(start, matching, mismatching):
     ([1, 0], Vertex(2, 1)),
     (Vertex(1.0, 0), _FLOAT),
     (Vertex(-1, 0), _NEGATIVE),
-], ids=["exact", "bool", "tuple", "list", "float", "negative"])
+    (_SubVertex(1, 0), Vertex(2, 1)),
+    (Vertex(_Int(1), 0), Vertex(2, 1)),
+    (Vertex(_Index(1), _Index(0)), Vertex(2, 1)),
+    (Vertex(_Index(1), -1), (ValueError, "vertex coordinates must be nonnegative, "
+                                         "got (1, -1)")),
+], ids=["exact", "bool", "tuple", "list", "float", "negative", "subclass", "int-subclass",
+        "index-only", "negative-index"])
 def test_validate_against_the_path_own_start(start, expected):
+    # start is path.start: the comparison is skipped, but a start that is
+    # not exact is still normalised (or refused) as the path's own start.
     path = EulerPath(start, _FROM_1_0.steps)
     _check_outcome(lambda: validate(path, path.start), expected)
     _check_outcome(lambda: validate(path), expected)
+    # An equal start given as another object is compared, with the same outcome.
+    _check_outcome(lambda: validate(path, Vertex(1, 0)), expected)
+
+
+def _reference_validate(path, start=None):
+    # validate as it was before it read an exact start as it is: both
+    # starts normalised by _as_vertex on every call, path.start first, and
+    # compared as tuples.  Kept as an oracle for the start check.
+    x, y = _as_vertex(path.start)
+    if start is not None:
+        start = _as_vertex(start)
+        if (x, y) != start:
+            raise ValueError(f"path starts at {(x, y)}, expected {tuple(start)}")
+    for direction, idx in path.steps:
+        if direction == "H":
+            if not (isinstance(idx, int) and 1 <= idx <= y + 1):
+                break
+            x += 1
+        elif direction == "V" and isinstance(idx, int) and 1 <= idx <= x + 1:
+            y += 1
+        else:
+            break
+    else:
+        return Vertex(x, y)
+    raise paths_module._step_error(path, x, y)
+
+
+def _raised(call):
+    # The type and text of what the call raises, or None.
+    try:
+        call()
+    except (PathValidationError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# A start of each kind at (x, y): exact, normalised to (x, y), or refused.
+_STARTS = {
+    "exact": Vertex,
+    "subclass": _SubVertex,
+    "tuple": lambda x, y: (x, y),
+    "list": lambda x, y: [x, y],
+    "bool": lambda x, y: Vertex(x, bool(y) if y < 2 else y),
+    "int-subclass": lambda x, y: Vertex(_Int(x), y),
+    "index-only": lambda x, y: Vertex(x, _Index(y)),
+    "float-x": lambda x, y: Vertex(float(x), y),
+    "float-y": lambda x, y: Vertex(x, float(y)),
+    "negative-x": lambda x, y: Vertex(-1 - x, y),
+    "negative-y": lambda x, y: Vertex(x, -1 - y),
+    "short": lambda x, y: (x,),
+    "long": lambda x, y: (x, y, 0),
+    "not-iterable": lambda x, y: 5,
+}
+_kinds = st.sampled_from(sorted(_STARTS))
+_vertices = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_step_lists = st.lists(st.builds(Step, st.sampled_from("HVX"), st.integers(0, 4)), max_size=6)
+
+
+@given(_vertices, _kinds, st.one_of(st.none(), _vertices), _step_lists)
+def test_every_start_raises_as_the_reference_validate(at, kind, elsewhere, step_list):
+    # The path's start of any kind, against a start of every kind at the
+    # same vertex or elsewhere, and against a scheme's base there.
+    there = elsewhere or at
+    path = EulerPath(_STARTS[kind](*at), tuple(step_list))
+    scheme = LabelScheme(there)
+    for start in (None, path.start, scheme.base, *(make(*there) for make in _STARTS.values())):
+        expected = _raised(lambda: _reference_validate(path, start))
+        assert _raised(lambda: validate(path, start)) == expected
+        if expected is None:
+            assert validate(path, start) == _reference_validate(path, start)
+    expected = _raised(lambda: _reference_validate(path, scheme.base))
+    for call in (encode, is_good, unmarked_trail, lambda s, x: transport(s, s, x)):
+        assert _raised(lambda: call(scheme, path)) == expected
 
 
 def test_end_bookkeeping():

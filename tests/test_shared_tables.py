@@ -68,6 +68,16 @@ def test_no_module_binds_state_that_calls_could_share():
                                      ("euleradic.cli", "_SUITES")}
 
 
+def test_the_only_process_wide_caches_are_the_known_ones():
+    # A functools cache outlives every call; each one is a decision, named here.
+    for info in pkgutil.iter_modules(euleradic.__path__):
+        importlib.import_module(f"euleradic.{info.name}")
+    caches = {(name, attr) for name, module in sorted(sys.modules.items())
+              if name == "euleradic" or name.startswith("euleradic.")
+              for attr, value in vars(module).items() if hasattr(value, "cache_info")}
+    assert caches == {("euleradic.eulerian", "_descent_histogram"), ("euleradic.cli", "_parser")}
+
+
 # One-step results at a base with a bundle of 10**6 + 1 edges: each builds
 # one step or symbol, at an index near 10**6, and keeps none.
 @pytest.mark.parametrize("call, expected", [
