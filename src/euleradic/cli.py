@@ -1,9 +1,10 @@
 """Command-line front end: count tables, verification suites, convergence
-data, good-path queries, transports, orbits, and code round-trips.
+data, good-path queries, transports, orbits, and code round-trips.  The
+table _COMMANDS declares every command, with its options and handler.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, resource or
-arithmetic error or output closed early.
-All output is byte-deterministic for fixed flags.
+arithmetic error or output closed early.  All output is byte-deterministic
+for fixed flags.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
-# Only errors is imported here: it holds the budget defaults build_parser
+# Only errors is imported here: it holds the budget defaults _COMMANDS
 # reads.  Each command imports the modules it runs when it is called, so a
 # launch loads only those, and a name looked up at call time is whatever
 # the module holds then.
@@ -263,69 +264,52 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _required(*names, **keywords):
+    return tuple((f"--{name}", dict(required=True, **keywords)) for name in names)
+
+
+_MAX_CELLS = "--max-cells", dict(type=int, default=DEFAULT_CELL_BUDGET)
+_MAX_ENUM = "--max-enum", dict(type=int, default=DEFAULT_ENUM_BUDGET)
+
+# Every command, in the order --help lists them: its name, help line,
+# handler, and options as (flag, add_argument keywords) rows.
+_COMMANDS = (
+    ("table", "grid of path counts from a base vertex", _cmd_table, (
+        *_required("p", "q", "imax", "jmax", type=int),
+        ("--format", dict(choices=("csv", "json"), default="csv")), _MAX_CELLS)),
+    ("verify", "run a named invariant suite", _cmd_verify, (
+        *_required("suite", choices=tuple(sorted(_SUITES))),
+        *((f"--{key}", dict(type=int)) for key in _WINDOW_FLAGS),  # default: the suite's
+        _MAX_CELLS, _MAX_ENUM)),
+    ("converge", "normalized dimension ratios along the diagonal, as CSV", _cmd_converge, (
+        *_required("p", "q", type=int),
+        *_required("diag", type=int, help="largest diagonal offset k"),
+        ("--step", dict(type=int, default=1)))),
+    ("good", "good and total path counts at one offset", _cmd_good, (
+        *_required("p", "q", "i", "j", type=int),
+        ("--method", dict(choices=("dp", "enum"), default="dp")), _MAX_ENUM)),
+    ("transport", "carry a path between equal-level bases", _cmd_transport, (
+        *_required("from", dest="src", type=_pair, metavar="P,Q"),
+        *_required("to", dest="dst", type=_pair, metavar="P,Q"), *_required("path"))),
+    ("orbit", "stream all root paths to a vertex in successor order", _cmd_orbit, (
+        *_required("vertex", type=_pair, metavar="X,Y"), _MAX_ENUM)),
+    ("encode", "encoding sequence of a path", _cmd_encode, _required("path")),
+    ("decode", "path reconstructed from an encoding sequence at a base", _cmd_decode, (
+        *_required("base", type=_pair, metavar="P,Q"), *_required("code"))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="euleradic",
         description="Exact Euler-graph path counts, good-path transport, "
                     "and the adic transformation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("table", help="grid of path counts from a base vertex")
-    t.add_argument("--p", type=int, required=True)
-    t.add_argument("--q", type=int, required=True)
-    t.add_argument("--imax", type=int, required=True)
-    t.add_argument("--jmax", type=int, required=True)
-    t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BUDGET)
-    t.set_defaults(func=_cmd_table)
-
-    v = sub.add_parser("verify", help="run a named invariant suite")
-    v.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    for window in _WINDOW_FLAGS:
-        v.add_argument(f"--{window}", type=int)    # default: the suite's
-    v.add_argument("--max-cells", type=int, default=DEFAULT_CELL_BUDGET)
-    v.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)
-    v.set_defaults(func=_cmd_verify)
-
-    c = sub.add_parser("converge", help="normalized dimension ratios along "
-                                        "the diagonal, as CSV")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--diag", type=int, required=True, help="largest diagonal offset k")
-    c.add_argument("--step", type=int, default=1)
-    c.set_defaults(func=_cmd_converge)
-
-    g = sub.add_parser("good", help="good and total path counts at one offset")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--q", type=int, required=True)
-    g.add_argument("--i", type=int, required=True)
-    g.add_argument("--j", type=int, required=True)
-    g.add_argument("--method", choices=("dp", "enum"), default="dp")
-    g.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)
-    g.set_defaults(func=_cmd_good)
-
-    tr = sub.add_parser("transport", help="carry a path between equal-level bases")
-    tr.add_argument("--from", dest="src", type=_pair, required=True, metavar="P,Q")
-    tr.add_argument("--to", dest="dst", type=_pair, required=True, metavar="P,Q")
-    tr.add_argument("--path", required=True)
-    tr.set_defaults(func=_cmd_transport)
-
-    o = sub.add_parser("orbit", help="stream all root paths to a vertex in "
-                                     "successor order")
-    o.add_argument("--vertex", type=_pair, required=True, metavar="X,Y")
-    o.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)
-    o.set_defaults(func=_cmd_orbit)
-
-    e = sub.add_parser("encode", help="encoding sequence of a path")
-    e.add_argument("--path", required=True)
-    e.set_defaults(func=_cmd_encode)
-
-    d = sub.add_parser("decode", help="path reconstructed from an encoding "
-                                      "sequence at a base")
-    d.add_argument("--base", type=_pair, required=True, metavar="P,Q")
-    d.add_argument("--code", required=True)
-    d.set_defaults(func=_cmd_decode)
-
+    for name, summary, handler, options in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in options:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 
@@ -333,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     # One parser per process, built on the first main() call: parse_args
     # leaves it as it was, and building it costs far more than a parse.
-    # set_defaults(func=_cmd_*) binds each command function when the parser
-    # is built, so rebinding a _cmd_* name later does not reach main().
+    # _COMMANDS declares every command and holds its _cmd_* function from
+    # import on, so rebinding a _cmd_* name later does not reach main().
     return build_parser()
 
 

@@ -98,12 +98,12 @@ def validate(path: EulerPath, start=None) -> Vertex:
             break
     else:
         return tuple.__new__(Vertex, (x, y))
-    raise _step_error(path, x, y)
+    raise _step_error(path, s, x, y)
 
 
-def _step_error(path: EulerPath, x: int, y: int) -> PathValidationError:
-    # Error of the first bad step, taken at (x, y); each earlier step raised x or y by 1.
-    m = x + y - sum(_as_vertex(path.start)) + 1
+def _step_error(path: EulerPath, start: Vertex, x: int, y: int) -> PathValidationError:
+    # Error of the first bad step, taken at (x, y); each step from start raised x or y by 1.
+    m = x + y - sum(start) + 1
     direction, idx = path.steps[m - 1]
     if direction not in (HORIZONTAL, VERTICAL):
         return PathValidationError(f"step {m}: unknown direction {direction!r}")

@@ -309,6 +309,19 @@ def test_the_parser_keeps_its_shape():
             for key in window} <= verify_flags
 
 
+def test_the_command_table_is_the_one_statement_of_the_command_line():
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [name for name, *_ in cli._COMMANDS]
+    for name, _, handler, _ in cli._COMMANDS:
+        assert sub.choices[name].get_default("func") is handler
+    # Every command function is the handler of exactly one row.
+    handlers = [handler for _, _, handler, _ in cli._COMMANDS]
+    assert len(set(handlers)) == len(handlers)
+    assert set(handlers) == {value for attr, value in vars(cli).items()
+                             if attr.startswith("_cmd_")}
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--p", "0", "--q", "0", "--imax", "2"])

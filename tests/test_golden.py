@@ -2,9 +2,11 @@
 outputs whose text must not change when the code under them does (an
 orbit, every verify suite at its defaults and the benchmark's verify,
 converge, good and table jobs).  The same holds for the text of the
-encode and transport results on the benchmark's walk cells."""
+encode and transport results on the benchmark's walk cells, and of the
+help text of every command."""
 
 import hashlib
+import sys
 
 import pytest
 
@@ -156,3 +158,34 @@ def test_encode_and_transport_digest():
     for line in _label_lines():
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == LABEL_DIGEST
+
+
+# SHA-256 of `euleradic --help` and of each `<command> --help`, printed
+# 80 columns wide, taken while build_parser was one add_parser block per
+# command.  argparse lays help out differently across Python minor
+# versions, so these hold only on the version they were taken on, 3.11.
+HELP_DIGESTS = [
+    ((), "e29120d3a58ec8452fdd54ebd3dc330fc3252821e97fe3a677552fbb9a6cce5a"),
+    (("table",), "1078a3aa89473f28630e97464f0a878e4e018f8a8d3b1adb4285573efbb93f41"),
+    (("verify",), "d248b73544fff2e5c3018d8946df542069ea0cfcc1f971e30cef83367834fc8f"),
+    (("converge",), "07a0751cc1ce49edfbdd5573135d4bdb0db799061bb0a5390bd012acacf5c2e0"),
+    (("good",), "500bd226201bef8bc1dc97e7566c64b3fe03c31454a865d905353913ff7ca0c5"),
+    (("transport",), "4e06723f5b6fcc0d2adb98bdf4fd4a5a2fc91192bca547a44a1e9b4950c18267"),
+    (("orbit",), "9c7b84f7f81191f60bdcc18ae65da8c1f7690953df186eef8b1f78bfacf0ccc3"),
+    (("encode",), "d3747039dab9c7fa37881f1c371a1f7c06c57943608766ca46799b092ca32fb2"),
+    (("decode",), "1aa79c4d902d89ea4bd5636881db515357dd44375a98db5e0b5cbdc8f0b189fe"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests were taken on Python 3.11")
+@pytest.mark.parametrize("command,digest", HELP_DIGESTS,
+                         ids=[command[0] if command else "euleradic"
+                              for command, _ in HELP_DIGESTS])
+def test_help_digest(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*command, "--help"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -140,6 +140,15 @@ def test_validate_names_offending_step():
     assert str(err.value) == "step 2: unknown direction 'D'"
 
 
+def test_a_one_shot_start_names_the_bad_step():
+    # The start is read once; the step error counts from what was read.
+    message = "step 1: edge index 5 outside bundle of size 1 at vertex (0, 0)"
+    for call in (validate, lambda path: encode(LabelScheme((0, 0)), path)):
+        with pytest.raises(PathValidationError) as err:
+            call(EulerPath(iter((0, 0)), (Step("H", 5),)))
+        assert str(err.value) == message
+
+
 # Every public per-path call that takes a path from a fixed start: a
 # scheme's base, here (0, 0), or the root.
 _ROOT_SCHEME = LabelScheme((0, 0))
@@ -254,7 +263,7 @@ def _reference_validate(path, start=None):
     # validate as it was before it read an exact start as it is: both
     # starts normalised by _as_vertex on every call, path.start first, and
     # compared as tuples.  Kept as an oracle for the start check.
-    x, y = _as_vertex(path.start)
+    x, y = s = _as_vertex(path.start)
     if start is not None:
         start = _as_vertex(start)
         if (x, y) != start:
@@ -270,7 +279,7 @@ def _reference_validate(path, start=None):
             break
     else:
         return Vertex(x, y)
-    raise paths_module._step_error(path, x, y)
+    raise paths_module._step_error(path, s, x, y)
 
 
 def _raised(call):

@@ -36,11 +36,14 @@ def test_building_the_parser_loads_no_command_module():
     assert "dataclasses" not in loaded and "fractions" not in loaded
 
 
-def test_python_m_help_loads_only_the_parser_modules():
+# The top-level help, then each command's.
+@pytest.mark.parametrize("command", ["", "table", "verify", "converge", "good", "transport",
+                                     "orbit", "encode", "decode"], ids=lambda c: c or "euleradic")
+def test_python_m_help_loads_only_the_parser_modules(command):
     # runpy._run_module_as_main is what the interpreter's -m switch runs;
     # the module it runs is sys.modules["__main__"], named by its spec.
     out = _fresh("import runpy, sys\n"
-                 "sys.argv[1:] = ['--help']\n"
+                 f"sys.argv[1:] = {[*command.split(), '--help']!r}\n"
                  "try:\n"
                  "    runpy._run_module_as_main('euleradic')\n"
                  "except SystemExit as stop:\n"
