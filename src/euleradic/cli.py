@@ -66,14 +66,11 @@ def _cmd_table(args) -> int:
     table = recurrence_table((args.p, args.q), args.imax, args.jmax,
                              max_cells=args.max_cells)
     if args.format == "json":
-        import json
-
         # Laid out as json.dumps would, with the cells written by _decimal.
-        params = json.dumps({"p": args.p, "q": args.q,
-                             "imax": args.imax, "jmax": args.jmax})
         rows = ", ".join("[" + ", ".join(map(_decimal, row)) + "]"
                          for row in table.cells)
-        print(f'{{"params": {params}, "rows": [{rows}]}}')
+        print(f'{{"params": {{"p": {args.p}, "q": {args.q}, "imax": {args.imax}, '
+              f'"jmax": {args.jmax}}}, "rows": [{rows}]}}')
     else:
         print("i\\j," + ",".join(str(j) for j in range(args.jmax + 1)))
         for i in range(args.imax + 1):

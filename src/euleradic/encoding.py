@@ -13,7 +13,7 @@ bijectively onto that of another.
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect_left
 from operator import index as _index
 from typing import NamedTuple
 
@@ -105,7 +105,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
                          f"base {tuple(scheme.base)} has level {p + q}")
     (_, h_labeled, _), (v_first, v_labeled, _) = scheme._directions
     h_steps, v_steps = scheme._steps[HORIZONTAL], scheme._steps[VERTICAL]
-    h_used, v_used, consumed, labels = [], [], 0, scheme.label_count
+    h_used, v_used, labels = [], [], scheme.label_count
     steps: list[Step] = []
     append = steps.append
     for kind, index in code.symbols:
@@ -114,11 +114,6 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
             if not 1 <= a <= labels:
                 raise DecodeError(f"symbol {len(steps) + 1}: no label s_{index} "
                                   f"at a level-{p + q} base")
-            bit = 1 << (a - 1)
-            if consumed & bit:
-                raise DecodeError(f"symbol {len(steps) + 1}: label s_{index} "
-                                  f"already consumed")
-            consumed |= bit
             # At most three names per assignment: more would build a tuple per symbol.
             if a <= h_labeled:
                 table, used, idx = h_steps, h_used, a
@@ -126,7 +121,11 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
             else:
                 table, used, idx = v_steps, v_used, a - v_first
                 y += 1
-            insort(used, idx)
+            at = bisect_left(used, idx)
+            if at < len(used) and used[at] == idx:
+                raise DecodeError(f"symbol {len(steps) + 1}: label s_{index} "
+                                  f"already consumed")
+            used.insert(at, idx)
         else:
             # encode's position, inverted: a bundle's unmarked edges are its c consumed
             # labeled edges, ascending in `used`, then every edge past the labeled ones.

@@ -193,12 +193,11 @@ def _alternating_run(p: int, q: int, i: int, j: int, stop: int) -> list[int]:
         terms.append(rising * (p + 1 + k) ** e)
     terms.reverse()
     run = [sum(map(mul, terms, signed))]
-    if stop > j + 1:                    # a one-cell call builds no step range
-        bases = range(p + 1 + i, p, -1)
-        for _ in range(j + 1, stop):
-            signed = [1, *map(sub, signed[1:], signed)]
-            terms = list(map(mul, terms, bases))
-            run.append(sum(map(mul, terms, signed)))
+    bases = range(p + 1 + i, p, -1)
+    for _ in range(j + 1, stop):
+        signed = [1, *map(sub, signed[1:], signed)]
+        terms = list(map(mul, terms, bases))
+        run.append(sum(map(mul, terms, signed)))
     return run
 
 
@@ -309,6 +308,7 @@ def coefficient_identity_check(p: int, q: int, i: int) -> tuple[int, int]:
     integer q (negative included) is a legal test point.  Returns
     (lhs, rhs); callers assert equality.
     """
+    p, q, i = index(p), index(q), index(i)
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     if i < 1:

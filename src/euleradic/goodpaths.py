@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import DEFAULT_CELL_BUDGET, DEFAULT_ENUM_BUDGET, BudgetError
-from .eulerian import Vertex, _as_offset, _as_vertex, _count, _fill
+from .eulerian import Vertex, _as_offset, _as_vertex, _count, _fill, _table_base
 from .paths import (EncodingSymbol, EulerPath, HORIZONTAL, KINDS, Step, VERTICAL,
                     _Table, _enum_args, validate)
 
@@ -159,9 +159,7 @@ def good_count_table(base, imax: int, jmax: int) -> list[list[int]]:
     """Table of good-path counts G(i, j) for 0 <= i <= imax, 0 <= j <= jmax:
     the inclusion-exclusion sum of count_good_dp, taken over whole
     recurrence tables at the shifted bases."""
-    p, q = _as_vertex(base)
-    if imax < 0 or jmax < 0:
-        raise ValueError("table bounds must be nonnegative")
+    p, q = _table_base(base, imax, jmax, DEFAULT_CELL_BUDGET)
     g = [[0] * (jmax + 1) for _ in range(imax + 1)]
     for coeff, pb, qa in _sieve(p, q, imax, jmax):
         for g_row, a_row in zip(g, _fill(pb, qa, imax, jmax)):

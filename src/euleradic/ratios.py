@@ -41,9 +41,7 @@ def ratio_down_p(base, off) -> Fraction:
     i, j = _as_offset(off)
     if p < 1:
         raise ValueError(f"ratio_down_p needs p >= 1, got base {(p, q)}")
-    if (i, j) == (0, 0):
-        raise ValueError("ratio is not defined at the zero offset")
-    return Fraction(_count(p, q, i, j), _count(p - 1, q, i, j))
+    return ratio_down_q((q, p), (j, i))
 
 
 def monotonicity_violations(num: CountTable, den: CountTable,
@@ -59,12 +57,16 @@ def monotonicity_violations(num: CountTable, den: CountTable,
     denominator cell the window reads (den[i, j] for i <= imax+1 and
     j <= jmax+1, but not the corner (imax+1, jmax+1)) must be positive;
     a zero or negative one raises ValueError.  Tables must extend to
-    (imax+1, jmax+1).  Returns the list of offending (i, j, reason)
-    triples, row by row; separated from check_monotonicity so tests can
-    feed deliberately perturbed tables.
+    (imax+1, jmax+1); a shorter one raises IndexError.  Returns the list
+    of offending (i, j, reason) triples, row by row; separated from
+    check_monotonicity so tests can feed deliberately perturbed tables.
     """
     if imax < 0 or jmax < 0:
         return []
+    for table in num, den:
+        if table.imax <= imax or table.jmax <= jmax:
+            raise IndexError(f"{table!r} stops short of ({imax + 1}, {jmax + 1}), "
+                             f"the extent the window reads")
     for i, row in enumerate(den.cells[:imax + 2]):
         if min(row[:jmax + 2 if i <= imax else jmax + 1]) <= 0:
             raise ValueError(f"denominator row {i} holds a count <= 0 inside the "

@@ -524,6 +524,19 @@ def test_deep_consumed_edges_round_trip():
     assert decode(_scheme(0, 10**4), code) == path
 
 
+@pytest.mark.parametrize("again", [1, 20002])
+def test_deep_repeated_label_is_refused(again):
+    # From (0, 20000): s_1..s_20001 are the horizontal labels and s_20002 the
+    # vertical one.  parse_code refuses a repeated s-symbol, so the sequence
+    # is built directly.  The bound fails a membership test that scans the
+    # bundle's consumed list once per symbol.
+    code = _code(20000, *(f"s{a}" for a in range(1, 20003)), f"s{again}")
+    start = time.perf_counter()
+    with pytest.raises(DecodeError, match=f"^symbol 20003: label s_{again} already consumed$"):
+        decode(_scheme(0, 20000), code)
+    assert time.perf_counter() - start < 2
+
+
 def _reference_validate(path):
     # validate as it was before its loop branched once per step: the
     # bundle size is looked up first, then each check raises in turn.  Kept

@@ -295,6 +295,15 @@ def test_coefficient_identity_domain():
         coefficient_identity_check(1, 0, 0)
 
 
+@pytest.mark.parametrize("args", [(0.5, 0, 2), (1, 0.5, 2), (1, 0, 2.0)])
+def test_coefficient_identity_reads_integers_only(args):
+    # The kernel would take a float through its arithmetic and return floats.
+    with pytest.raises(TypeError):
+        coefficient_identity_check(*args)
+    # bool is an int, and q may be negative.
+    assert coefficient_identity_check(True, -3, 2) == ((-2) ** 2,) * 2
+
+
 def test_dim_between():
     assert dim_between(ORIGIN, (2, 2)) == 66
     assert dim_between((1, 1), (2, 2)) == closed_form((1, 1), (1, 1))

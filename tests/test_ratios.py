@@ -1,6 +1,7 @@
 """Ratio monotonicity, directional limits, and dimension-ratio convergence."""
 
 import random
+import re
 
 import pytest
 
@@ -113,6 +114,18 @@ def test_monotonicity_violations_need_positive_denominators(cell, value):
     den.cells[cell[0]][cell[1]] = value
     with pytest.raises(ValueError):
         monotonicity_violations(num, den, 3, 3)
+
+
+@pytest.mark.parametrize("num_end,den_end", [((2, 2), (3, 3)), ((3, 3), (3, 2)),
+                                             ((2, 3), (3, 3))])
+def test_monotonicity_violations_name_a_short_table(num_end, den_end):
+    # Window 2x2: the scan reads both tables out to (3, 3).
+    num = recurrence_table((0, 1), *num_end)
+    den = recurrence_table((0, 0), *den_end)
+    short = num if num_end != (3, 3) else den
+    with pytest.raises(IndexError, match=rf"^{re.escape(repr(short))} stops short of "
+                                         r"\(3, 3\), the extent the window reads$"):
+        monotonicity_violations(num, den, 2, 2)
 
 
 def test_monotonicity_violations_skip_the_unread_corner():

@@ -57,10 +57,12 @@ def test_python_m_help_loads_only_the_parser_modules(command):
 
 
 # What each command loads besides cli and errors.  No command loads
-# dataclasses, which alone cost about 12 ms of a launch.
+# dataclasses, which alone cost about 12 ms of a launch, or json.
 ALL = {"adic", "checks", "encoding", "eulerian", "goodpaths", "paths", "ratios"}
 COMMANDS = [
     (["table", "--p", "1", "--q", "0", "--imax", "3", "--jmax", "3"], {"eulerian"}),
+    (["table", "--p", "1", "--q", "0", "--imax", "3", "--jmax", "3", "--format", "json"],
+     {"eulerian"}),
     (["orbit", "--vertex", "1,1"], {"adic", "eulerian", "paths", "ratios"}),
     (["good", "--p", "1", "--q", "1", "--i", "4", "--j", "3"],
      {"eulerian", "goodpaths", "paths"}),
@@ -75,15 +77,16 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv,extra", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+@pytest.mark.parametrize("argv,extra", COMMANDS,
+                         ids=[argv[0] + "-json" * ("json" in argv) for argv, _ in COMMANDS])
 def test_each_command_loads_only_the_modules_it_runs(argv, extra):
     out = _fresh("import contextlib, io, sys, euleradic.cli as cli\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  f"    rc = cli.main({argv!r})\n"
-                 "print(rc, 'dataclasses' in sys.modules,\n"
+                 "print(rc, 'dataclasses' in sys.modules, 'json' in sys.modules,\n"
                  "      *(m for m in sys.modules if m.startswith('euleradic.')))")
-    rc, dataclasses, *loaded = out.split()
-    assert rc == "0" and dataclasses == "False"
+    rc, dataclasses, json, *loaded = out.split()
+    assert rc == "0" and dataclasses == "False" and json == "False"
     assert {m.removeprefix("euleradic.") for m in loaded} == {"cli", "errors", *extra}
 
 
