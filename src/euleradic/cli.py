@@ -49,6 +49,17 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _row_texts(cells: list[list[int]], mirrored: bool):
+    # Each row's texts; in a mirrored table, (i, j) with j < i <= jmax reuses (j, i)'s.
+    above: list[list[str]] = []
+    for i, row in enumerate(cells):
+        texts = [r[i] for r in above] if i < len(row) else []
+        texts += map(_decimal, row[len(texts):])
+        if mirrored:
+            above.append(texts)
+        yield texts
+
+
 def _frac(f: Fraction) -> str:
     return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
@@ -65,16 +76,17 @@ def _cmd_table(args) -> int:
 
     table = recurrence_table((args.p, args.q), args.imax, args.jmax,
                              max_cells=args.max_cells)
+    # A_{p,q}(i, j) = A_{q,p}(j, i), so a table with p = q is symmetric.
+    rows = _row_texts(table.cells, args.p == args.q)
     if args.format == "json":
         # Laid out as json.dumps would, with the cells written by _decimal.
-        rows = ", ".join("[" + ", ".join(map(_decimal, row)) + "]"
-                         for row in table.cells)
+        rows = ", ".join("[" + ", ".join(texts) + "]" for texts in rows)
         print(f'{{"params": {{"p": {args.p}, "q": {args.q}, "imax": {args.imax}, '
               f'"jmax": {args.jmax}}}, "rows": [{rows}]}}')
     else:
         print("i\\j," + ",".join(str(j) for j in range(args.jmax + 1)))
-        for i in range(args.imax + 1):
-            print(f"{i}," + ",".join(map(_decimal, table.cells[i])))
+        for i, texts in enumerate(rows):
+            print(f"{i}," + ",".join(texts))
     return 0
 
 

@@ -128,10 +128,10 @@ def recurrence_table(base, imax: int, jmax: int, *,
 
 def closed_form_table(base, imax: int, jmax: int, *,
                       max_cells: int = DEFAULT_CELL_BUDGET) -> CountTable:
-    """Fill a table of A_{p,q}(i, j) by the closed form, summed over the
-    shorter index: one kernel run along j per row, or, when imax > jmax,
-    one run of the mirror (q, p) along i per column.  Cell for cell it
-    equals closed_form and recurrence_table.
+    """Fill a table of A_{p,q}(i, j) by the closed form, each cell summed over
+    its shorter index as in _count: a kernel run along j per row i for the
+    cells on and above the diagonal, a run of the mirror (q, p) along i per
+    column j below it.  Cell for cell it equals closed_form and recurrence_table.
 
     >>> closed_form_table((1, 0), 2, 2).cells
     [[1, 2, 4], [1, 7, 33], [1, 18, 171]]
@@ -139,13 +139,14 @@ def closed_form_table(base, imax: int, jmax: int, *,
     [[1, 2], [1, 7], [1, 18]]
     """
     p, q = base = _table_base(base, imax, jmax, max_cells)
-    if imax <= jmax:
-        rows = [_alternating_run(p, q, i, 0, jmax + 1) for i in range(imax + 1)]
-    else:
-        rows = zip(*[_alternating_run(q, p, j, 0, imax + 1) for j in range(jmax + 1)])
-    return CountTable(base, imax, jmax, [
-        [_nonnegative(a, p, q, i, j) for j, a in enumerate(row)]
-        for i, row in enumerate(rows)])
+    cells = [[0] * (jmax + 1) for _ in range(imax + 1)]
+    for i in range(min(imax, jmax) + 1):
+        for j, a in enumerate(_alternating_run(p, q, i, i, jmax + 1), i):
+            cells[i][j] = _nonnegative(a, p, q, i, j)
+    for j in range(min(imax, jmax + 1)):
+        for i, a in enumerate(_alternating_run(q, p, j, j + 1, imax + 1), j + 1):
+            cells[i][j] = _nonnegative(a, p, q, i, j)
+    return CountTable(base, imax, jmax, cells)
 
 
 def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:

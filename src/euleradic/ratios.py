@@ -94,6 +94,8 @@ def check_monotonicity(base, imax: int, jmax: int) -> list[tuple[int, int, str]]
     p, q = _as_vertex(base)
     if q < 1:
         raise ValueError(f"monotonicity check needs q >= 1, got base {(p, q)}")
+    if imax < 0 or jmax < 0:
+        raise ValueError(f"window bounds must be nonnegative, got {(imax, jmax)}")
     num = recurrence_table((p, q), imax + 1, jmax + 1)
     den = recurrence_table((p, q - 1), imax + 1, jmax + 1)
     return monotonicity_violations(num, den, imax, jmax)

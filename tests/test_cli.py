@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,11 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import euleradic.cli as cli
 import euleradic.eulerian as eulerian
 import euleradic.goodpaths as goodpaths
-from euleradic import checks, closed_form_sym, count_good_dp
+from euleradic import checks, closed_form_sym, count_good_dp, recurrence_table
 
 
 def run(capsys, *argv):
@@ -46,6 +49,38 @@ def test_table_json(capsys):
     obj = json.loads(out)
     assert obj["params"] == {"p": 1, "q": 1, "imax": 1, "jmax": 2}
     assert obj["rows"] == [[1, 2, 4], [2, 12, 52]]
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from(["csv", "json"]))
+def test_a_table_converts_each_mirrored_count_once(p, q, imax, jmax, fmt):
+    # A p = q table is symmetric, so only the cells on or above the
+    # diagonal, and the rows past jmax, whose mirrors lie outside the
+    # window, are converted; every other table converts every cell.  The
+    # text is still one str per cell of the full recurrence table.
+    cells = recurrence_table((p, q), imax, jmax).cells
+    if fmt == "json":
+        expected = json.dumps({"params": {"p": p, "q": q, "imax": imax, "jmax": jmax},
+                               "rows": cells}) + "\n"
+    else:
+        expected = "".join(f"{i}," + ",".join(map(str, row)) + "\n"
+                           for i, row in enumerate(cells))
+        expected = "i\\j," + ",".join(map(str, range(jmax + 1))) + "\n" + expected
+    converted = []
+    decimal = cli._decimal
+
+    def counted(n):
+        converted.append(n)
+        return decimal(n)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "_decimal", counted)
+        rc = cli.main(["table", "--p", str(p), "--q", str(q), "--imax", str(imax),
+                       "--jmax", str(jmax), "--format", fmt])
+    assert rc == 0 and out.getvalue() == expected
+    assert converted == [cells[i][j] for i in range(imax + 1)
+                         for j in range(i if p == q and i <= jmax else 0, jmax + 1)]
 
 
 def test_table_is_deterministic(capsys):

@@ -167,6 +167,30 @@ def test_a_tall_closed_form_table_sums_over_the_shorter_index():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("imax,jmax", [(9, 9), (14, 4), (4, 14)])
+def test_every_closed_form_table_cell_sums_over_its_shorter_index(monkeypatch,
+                                                                  imax, jmax):
+    # A kernel run (p, q, i, j, stop) costs i+1 terms per cell.  Each cell
+    # must be placed by exactly one run, from its own orientation when
+    # i <= j and from the mirror's when i > j, so that it costs min(i, j)+1.
+    # With p != q a run's (p, q) tells which orientation it took.
+    runs = []
+    kernel = eulerian._alternating_run
+
+    def recorded(p, q, i, j, stop):
+        runs.append((p, q, i, j, stop))
+        return kernel(p, q, i, j, stop)
+
+    monkeypatch.setattr(eulerian, "_alternating_run", recorded)
+    table = closed_form_table((2, 1), imax, jmax)
+    assert table.cells == recurrence_table((2, 1), imax, jmax).cells
+    assert sum((i + 1) * (stop - j) for _, _, i, j, stop in runs) == sum(
+        min(i, j) + 1 for i in range(imax + 1) for j in range(jmax + 1))
+    placed = [(i, k) if (p, q) == (2, 1) else (k, i)
+              for p, q, i, j, stop in runs for k in range(j, stop)]
+    assert sorted(placed) == [(i, j) for i in range(imax + 1) for j in range(jmax + 1)]
+
+
 def test_comtet_matches_origin_and_descent_oracle():
     for i in range(8):
         for j in range(8 - i):

@@ -85,6 +85,19 @@ DIGESTS = [
     ("table-json-80", ("table", "--p", "1", "--q", "2", "--imax", "80", "--jmax", "80",
                        "--format", "json"),
      "98accd11ded17d8b7252549d71bcb52484eea08a1450bde2a14aa07563f95662"),
+    # Symmetric (p = q) tables, square and not, taken while every cell of a
+    # table was converted to text on its own.
+    ("table-1-1-150", ("table", "--p", "1", "--q", "1", "--imax", "150", "--jmax", "150"),
+     "d80e24720ccec8b30ecda5eb55cf742defc80403c905a0dfcfc4a20bd7fc29a3"),
+    ("table-0-0-60", ("table", "--p", "0", "--q", "0", "--imax", "60", "--jmax", "60"),
+     "bddd1a77fe0dd69531337c7ea1427b1c9abbe4ab322ecd1de3df2129dcfc8aaa"),
+    ("table-json-0-0-40", ("table", "--p", "0", "--q", "0", "--imax", "40", "--jmax", "40",
+                           "--format", "json"),
+     "4f5af20cdb44b3625e138ea87b05e0a912e3539de3250225fb63735a30520cff"),
+    ("table-2-2-30x7", ("table", "--p", "2", "--q", "2", "--imax", "30", "--jmax", "7"),
+     "9647103d37c00a11d69261e1d62a8b4dbc670dc42d566dbb7fc8d8e130706b0e"),
+    ("table-2-2-7x30", ("table", "--p", "2", "--q", "2", "--imax", "7", "--jmax", "30"),
+     "d92965f9b8d43080fa4d55381aa9a04397399e50cfc9c90304d100f0aff1bb70"),
 ]
 
 

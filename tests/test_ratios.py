@@ -128,6 +128,20 @@ def test_monotonicity_violations_name_a_short_table(num_end, den_end):
         monotonicity_violations(num, den, 2, 2)
 
 
+@pytest.mark.parametrize("imax,jmax", [(-1, 3), (3, -1), (-2, 3)])
+def test_a_negative_monotonicity_window_is_refused_before_any_table(monkeypatch,
+                                                                     imax, jmax):
+    # A window one short of empty once read as a pass; one shorter raised
+    # from inside recurrence_table.  Both now raise the same error first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_monotonicity built a table")
+
+    monkeypatch.setattr(ratios, "recurrence_table", refuse)
+    with pytest.raises(ValueError, match=re.escape(
+            f"window bounds must be nonnegative, got {(imax, jmax)}")):
+        check_monotonicity((0, 1), imax, jmax)
+
+
 def test_monotonicity_violations_skip_the_unread_corner():
     num = recurrence_table((1, 2), 4, 4)
     den = recurrence_table((1, 1), 4, 4)
