@@ -67,9 +67,9 @@ def closed_form_vs_recurrence(bases, cells, table_form, *, max_cells=DEFAULT_CEL
     cells = list(cells)
     if any(i < 0 or j < 0 for i, j in cells):
         raise IndexError("cells must be nonnegative offsets")
-    box = [max(c) for c in zip(*cells)] or [-1, -1]
+    box = [max(c) for c in zip(*cells)]
     tables = {b: (recurrence_table(b, *box, max_cells=max_cells).cells,
-                  table_form(b, *box, max_cells=max_cells).cells) for b in bases}
+                  table_form(b, *box, max_cells=max_cells).cells) for b in bases if cells}
     bad = [(*b, i, j) for b, (rec, form) in tables.items() for i, j in cells
            if rec[i][j] != form[i][j]]
     return bad, len(tables) * len(cells)
@@ -91,7 +91,7 @@ def coefficient_identity(ps, qs, imax: int):
 def ratio_monotonicity(bases, imax: int, jmax: int):
     """(p, q, i, j, reason) where the ratio inequality fails; needs q >= 1."""
     bad = [(*b, *v) for b in bases for v in check_monotonicity(b, imax, jmax)]
-    return bad, len(bases) * max(imax + 1, 0) * max(jmax + 1, 0)
+    return bad, len(bases) * (imax + 1) * (jmax + 1)
 
 
 def sieve_vs_exhaustive(bases, cells, *, max_enum: int = DEFAULT_ENUM_BUDGET):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .errors import DecodeError
 from .goodpaths import LabelScheme
 from .paths import (EncodingSymbol, EulerPath, HORIZONTAL, KIND_H_UNMARKED, KIND_MARKED,
-                    KIND_V_UNMARKED, Step, VERTICAL, validate)
+                    KIND_V_UNMARKED, Step, validate)
 
 
 class EncodingSequence(NamedTuple):
@@ -40,24 +40,22 @@ def encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
 
 
 def _encode(scheme: LabelScheme, path: EulerPath) -> EncodingSequence:
-    # encode of a path already known to be valid and to start at the base.
-    marked = scheme._symbols[0]
+    # encode of a valid path from the base, over decode's ascending `used` lists.
+    marked = scheme._marked
     h, v = scheme._directions
-    consumed = 0
+    h_used, v_used = [], []
     symbols: list[EncodingSymbol] = []
     append = symbols.append
     for direction, idx in path.steps:
-        first, labeled, unmarked = h if direction == HORIZONTAL else v
-        # Unmarked: the position is idx less the marked edges below it.
+        first, labeled, unmarked, _ = h if direction == HORIZONTAL else v
+        used = h_used if direction == HORIZONTAL else v_used
         if idx > labeled:
-            below = labeled
-        elif consumed & (bit := 1 << (first + idx - 1)):
-            below = idx - 1
+            append(unmarked[idx - labeled + len(used)])
+        elif (at := bisect_left(used, idx)) < len(used) and used[at] == idx:
+            append(unmarked[at + 1])
         else:
-            consumed |= bit
+            used.insert(at, idx)
             append(marked[first + idx])
-            continue
-        append(unmarked[idx - below + (consumed >> first & ((1 << below) - 1)).bit_count()])
     return tuple.__new__(EncodingSequence, (scheme.label_count - 2, tuple(symbols)))
 
 
@@ -72,18 +70,19 @@ def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]
     count.
     """
     validate(path, scheme.base)
-    h, v = scheme._directions
-    consumed = dx = 0
+    (_, h_labeled, _, _), (_, v_labeled, _, _) = scheme._directions
+    h_used, v_used, dx = set(), set(), 0
     trail = [(0, 0)]
     for direction, idx in path.steps:
-        first, labeled, _ = h if direction == HORIZONTAL else v
-        dx += direction == HORIZONTAL
-        if idx <= labeled:
-            consumed |= 1 << (first + idx - 1)
+        if direction == HORIZONTAL:
+            dx += 1
+            if idx <= h_labeled:
+                h_used.add(idx)
+        elif idx <= v_labeled:
+            v_used.add(idx)
         # A bundle's unmarked edges: its consumed labeled ones, plus one
         # unlabeled edge per step taken in the other direction.
-        v_used = (consumed >> v[0]).bit_count()    # the mask's top bits
-        trail.append((len(trail) - dx + consumed.bit_count() - v_used, dx + v_used))
+        trail.append((len(trail) - dx + len(h_used), dx + len(v_used)))
     return trail
 
 
@@ -103,8 +102,7 @@ def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     if code.base_level != p + q:
         raise ValueError(f"code was taken at level {code.base_level}, "
                          f"base {tuple(scheme.base)} has level {p + q}")
-    (_, h_labeled, _), (v_first, v_labeled, _) = scheme._directions
-    h_steps, v_steps = scheme._steps[HORIZONTAL], scheme._steps[VERTICAL]
+    (_, h_labeled, _, h_steps), (v_first, v_labeled, _, v_steps) = scheme._directions
     h_used, v_used, labels = [], [], scheme.label_count
     steps: list[Step] = []
     append = steps.append

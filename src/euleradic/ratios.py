@@ -44,6 +44,11 @@ def ratio_down_p(base, off) -> Fraction:
     return ratio_down_q((q, p), (j, i))
 
 
+def _check_window(imax: int, jmax: int) -> None:
+    if imax < 0 or jmax < 0:
+        raise ValueError(f"window bounds must be nonnegative, got {(imax, jmax)}")
+
+
 def monotonicity_violations(num: CountTable, den: CountTable,
                             imax: int, jmax: int) -> list[tuple[int, int, str]]:
     """Check the two-sided ratio inequality on a pair of count tables.
@@ -56,13 +61,12 @@ def monotonicity_violations(num: CountTable, den: CountTable,
     Both sides are compared exactly by cross-multiplying, so every
     denominator cell the window reads (den[i, j] for i <= imax+1 and
     j <= jmax+1, but not the corner (imax+1, jmax+1)) must be positive;
-    a zero or negative one raises ValueError.  Tables must extend to
-    (imax+1, jmax+1); a shorter one raises IndexError.  Returns the list
-    of offending (i, j, reason) triples, row by row; separated from
-    check_monotonicity so tests can feed deliberately perturbed tables.
+    a zero or negative one, or a negative bound, raises ValueError.
+    Tables must extend to (imax+1, jmax+1); a shorter one raises
+    IndexError.  Returns the offending (i, j, reason) triples, row by row;
+    separated from check_monotonicity so tests can feed perturbed tables.
     """
-    if imax < 0 or jmax < 0:
-        return []
+    _check_window(imax, jmax)
     for table in num, den:
         if table.imax <= imax or table.jmax <= jmax:
             raise IndexError(f"{table!r} stops short of ({imax + 1}, {jmax + 1}), "
@@ -94,8 +98,7 @@ def check_monotonicity(base, imax: int, jmax: int) -> list[tuple[int, int, str]]
     p, q = _as_vertex(base)
     if q < 1:
         raise ValueError(f"monotonicity check needs q >= 1, got base {(p, q)}")
-    if imax < 0 or jmax < 0:
-        raise ValueError(f"window bounds must be nonnegative, got {(imax, jmax)}")
+    _check_window(imax, jmax)
     num = recurrence_table((p, q), imax + 1, jmax + 1)
     den = recurrence_table((p, q - 1), imax + 1, jmax + 1)
     return monotonicity_violations(num, den, imax, jmax)

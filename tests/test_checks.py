@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from euleradic import ORIGIN, checks, closed_form
+from euleradic import ORIGIN, checks, closed_form, minimal_path
 
 
 def _at(base, off):
@@ -119,6 +119,29 @@ def test_closed_form_vs_recurrence_reports_a_wrong_closed_form_cell(monkeypatch)
     monkeypatch.setattr(checks, "closed_form_table", _wrong_at(
         checks.closed_form_table, lambda base, *_: tuple(base) == (1, 0), _spoil_table))
     assert run() == ([(1, 0, 2, 3)], 64)
+
+
+def test_closed_form_vs_recurrence_over_no_cells_checks_nothing():
+    run = checks.closed_form_vs_recurrence(checks.grid(1, 1), [], checks.closed_form_table)
+    assert run == ([], 0)
+    assert checks.problems(run) == ["checked 0 cells"]
+
+
+@pytest.mark.parametrize("cells", [[(-1, 0)], [(2, 3), (0, -2)]])
+def test_closed_form_vs_recurrence_refuses_a_negative_cell(cells):
+    with pytest.raises(IndexError, match="^cells must be nonnegative offsets$"):
+        checks.closed_form_vs_recurrence([ORIGIN], cells, checks.closed_form_table)
+
+
+def test_orbits_report_a_maximal_path_that_has_a_successor(monkeypatch):
+    # The orbits case above spoils the walk; this one plants a successor
+    # that steps past the maximal path of (2, 2) back to the minimal one.
+    vertices = [v for n in range(5) for v in checks.level(n)]
+    assert checks.orbits(vertices) == ([], 15)
+    successor, last = checks.successor, checks.maximal_path((2, 2))
+    monkeypatch.setattr(checks, "successor", lambda path: minimal_path((2, 2))
+                        if path == last else successor(path))
+    assert checks.orbits(vertices) == ([(2, 2)], 15)
 
 
 def test_problems_fail_a_check_that_checked_nothing():

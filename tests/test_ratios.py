@@ -142,6 +142,27 @@ def test_a_negative_monotonicity_window_is_refused_before_any_table(monkeypatch,
         check_monotonicity((0, 1), imax, jmax)
 
 
+@pytest.mark.parametrize("imax,jmax", [(-1, 2), (2, -1), (-3, -3)])
+def test_a_negative_window_of_given_tables_is_refused(imax, jmax):
+    # An empty scan once returned [], which reads as a pass.
+    num = recurrence_table((0, 1), 3, 3)
+    den = recurrence_table((0, 0), 3, 3)
+    with pytest.raises(ValueError, match=re.escape(
+            f"window bounds must be nonnegative, got {(imax, jmax)}")):
+        monotonicity_violations(num, den, imax, jmax)
+
+
+def test_monotonicity_check_needs_q_at_least_one(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_monotonicity built a table")
+
+    monkeypatch.setattr(ratios, "recurrence_table", refuse)
+    for base in [(2, 0), (0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"monotonicity check needs q >= 1, got base {base}")):
+            check_monotonicity(base, 3, 3)
+
+
 def test_monotonicity_violations_skip_the_unread_corner():
     num = recurrence_table((1, 2), 4, 4)
     den = recurrence_table((1, 1), 4, 4)
@@ -163,6 +184,12 @@ def test_directional_limit_values():
     assert directional_limit_q((2, 3), 4) == Fraction(5, 3)
     with pytest.raises(ValueError):
         directional_limit_q((2, 0), 1)
+
+
+def test_directional_limit_needs_a_nonnegative_row():
+    for i in [-1, -5]:
+        with pytest.raises(ValueError, match=f"^i must be nonnegative, got {i}$"):
+            directional_limit_q((1, 1), i)
 
 
 def test_ratio_descends_to_directional_limit():
