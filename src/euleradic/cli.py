@@ -25,6 +25,8 @@ from .errors import DEFAULT_CELL_BUDGET, DEFAULT_ENUM_BUDGET, BudgetError
 if TYPE_CHECKING:
     from fractions import Fraction
 
+_STR_BITS = 14000   # ints this wide (4,215 digits) pass CPython's 4,300-digit str limit
+
 
 def _pair(text: str) -> tuple[int, int]:
     try:
@@ -39,14 +41,19 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _decimal(n: int) -> str:
-    """Exact decimal text of a nonnegative int of any size.  CPython's str
-    refuses ints past 4,300 digits, so larger ones are split in halves at a
-    power of ten; smaller ones (at most 4,215 digits) take str."""
-    if n.bit_length() <= 14000:
+    """Exact decimal text of a nonnegative int of any size: str up to
+    _STR_BITS bits, and past them the halves split at a power of ten."""
+    if n.bit_length() <= _STR_BITS:
         return str(n)
     k = n.bit_length() * 3 // 20       # about half the digit count
     high, low = divmod(n, 10 ** k)
     return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _decimals(counts: list[int]) -> list[str]:
+    # A row's texts: one str pass when its largest count fits under _STR_BITS.
+    fits = max(counts, default=0).bit_length() <= _STR_BITS
+    return list(map(str if fits else _decimal, counts))
 
 
 def _row_texts(cells: list[list[int]], mirrored: bool):
@@ -54,7 +61,7 @@ def _row_texts(cells: list[list[int]], mirrored: bool):
     above: list[list[str]] = []
     for i, row in enumerate(cells):
         texts = [r[i] for r in above] if i < len(row) else []
-        texts += map(_decimal, row[len(texts):])
+        texts += _decimals(row[len(texts):])
         if mirrored:
             above.append(texts)
         yield texts

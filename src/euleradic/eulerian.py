@@ -7,10 +7,10 @@ from (p, q) to (p+i, q+j) generalizes the classical Eulerian numbers:
 from the origin, A_{0,0}(i, j) is the Eulerian number counting
 permutations of i+j+1 letters with exactly i descents.
 
-Everything here is exact integer arithmetic; there is no floating point
-anywhere in this module.  A_{p,q}(0, 0) = 1 by the empty-path convention
-(and every formula below already evaluates to 1 there, so no special
-casing is needed).
+Every closed form is one alternating sum: the dot product of two lists
+that _level builds at one level e = i + j, and that _levels steps from
+level to level for a table.  All arithmetic is exact integer arithmetic;
+A_{p,q}(0, 0) = 1 by the empty-path convention, which every formula gives.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ def recurrence_table(base, imax: int, jmax: int, *,
 
 def closed_form_table(base, imax: int, jmax: int, *,
                       max_cells: int = DEFAULT_CELL_BUDGET) -> CountTable:
-    """Fill a table of A_{p,q}(i, j) by the closed form, each cell summed over
-    its shorter index as in _count: a kernel run along j per row i for the
-    cells on and above the diagonal, a run of the mirror (q, p) along i per
-    column j below it.  Cell for cell it equals closed_form and recurrence_table.
+    """Fill a table of A_{p,q}(i, j) by the closed form, one level e = i + j
+    at a time as _levels steps them.  Each cell is a dot product over its
+    shorter index, as in _count: below the diagonal, of the mirror (q, p)
+    terms.  Cell for cell it equals closed_form and recurrence_table.
 
     >>> closed_form_table((1, 0), 2, 2).cells
     [[1, 2, 4], [1, 7, 33], [1, 18, 171]]
@@ -140,12 +140,11 @@ def closed_form_table(base, imax: int, jmax: int, *,
     """
     p, q = base = _table_base(base, imax, jmax, max_cells)
     cells = [[0] * (jmax + 1) for _ in range(imax + 1)]
-    for i in range(min(imax, jmax) + 1):
-        for j, a in enumerate(_alternating_run(p, q, i, i, jmax + 1), i):
-            cells[i][j] = _nonnegative(a, p, q, i, j)
-    for j in range(min(imax, jmax + 1)):
-        for i, a in enumerate(_alternating_run(q, p, j, j + 1, imax + 1), j + 1):
-            cells[i][j] = _nonnegative(a, p, q, i, j)
+    k = min(imax, jmax)
+    for e, (terms, mirror, signed) in zip(range(imax + jmax + 1), _levels(p, q, k)):
+        for i in range(max(0, e - jmax), min(e, imax) + 1):
+            side, m = (terms, i) if 2 * i <= e else (mirror, e - i)
+            cells[i][e - i] = _dot(side[k - m:], signed, p, q, i, e - i)
     return CountTable(base, imax, jmax, cells)
 
 
@@ -167,42 +166,38 @@ def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:
     return rows
 
 
-def _alternating_run(p: int, q: int, i: int, j: int, stop: int) -> list[int]:
-    # Cells j..stop-1 of row i of the sum over t = 0..i of
-    # (-1)^(i-t) C(p+q+t+1, t) C(N, i-t) (p+1+t)^(i+j), N = p+q+i+j+2, with
-    # the binomials read as polynomials in their upper argument.  Every
-    # closed form below is this sum; with p, q >= -1 it equals A_{p,q}(i, j).
-    # The first cell steps both binomials upward in k, by
-    # C(m, k) = C(m-1, k-1) m/k and C(N, k) = C(N, k-1) (N-k+1)/k, exact for
-    # every integer m and N; stepping C(N, i-t) downward in t would divide
-    # by N-i+t+1, which is 0 for some negative q.  Each next cell raises N
-    # by 1: Pascal's rule C(N+1, k) = C(N, k) + C(N, k-1) takes
-    # s_k = (-1)^k C(N, k) to s_k - s_{k-1} with no division, so it is exact
-    # for every integer N, negative ones included, where a step by
-    # (N+1)/(N+1-k) could divide by 0.  Each term gains one factor of its
-    # base p+1+t.  terms[k] and signed[k] belong to t = i-k.
-    top = p + q + i + j + 3             # N + 1
-    rise = p + q + 1
-    e = i + j
+def _level(p: int, q: int, e: int, k: int) -> tuple[list[int], list[int]]:
+    # The terms C(p+q+t+1, t) (p+1+t)^e, t = k down to 0, and the signed row
+    # (-1)^m C(N, m), m = 0..k, N = p+q+e+2: at k = i their dot product is the
+    # closed form at (i, e-i), A_{p,q}(i, e-i) when p, q >= -1.  Each binomial
+    # steps upward, C(r, m) = C(r, m-1) (r-m+1)/m, exact for every integer r;
+    # a downward step in t would divide by 0 for some negative q.
+    top, rise = p + q + e + 3, p + q + 1          # N + 1, and C(rise + m, m)
     s = rising = 1
-    signed = [1]                        # (-1)^k C(N, k) for k = 0..i
-    terms = [(p + 1) ** e]              # C(p+q+t+1, t) (p+1+t)^e for t = 0..i
-    for k in range(1, i + 1):
-        s = s * (k - top) // k
-        rising = rising * (rise + k) // k
+    signed, terms = [1], [(p + 1) ** e]
+    for m in range(1, k + 1):
+        s = s * (m - top) // m
+        rising = rising * (rise + m) // m
         signed.append(s)
-        terms.append(rising * (p + 1 + k) ** e)
-    terms.reverse()
-    run = [sum(map(mul, terms, signed))]
-    bases = range(p + 1 + i, p, -1)
-    for _ in range(j + 1, stop):
+        terms.append(rising * (p + 1 + m) ** e)
+    return terms[::-1], signed
+
+
+def _levels(p: int, q: int, k: int):
+    # _level's lists for (p, q) and the mirror (q, p), with their shared signed
+    # row, at levels 0, 1, ..., each from the last: a term gains its base p+1+t
+    # or q+1+t, and Pascal's rule takes s_m to s_m - s_{m-1}, exact for any N.
+    terms, signed = _level(p, q, 0, k)      # at level 0 both sides' terms
+    mirror = terms                          # are C(p+q+t+1, t)
+    while True:
+        yield terms, mirror, signed
         signed = [1, *map(sub, signed[1:], signed)]
-        terms = list(map(mul, terms, bases))
-        run.append(sum(map(mul, terms, signed)))
-    return run
+        terms = list(map(mul, terms, range(p + 1 + k, p, -1)))
+        mirror = terms if p == q else list(map(mul, mirror, range(q + 1 + k, q, -1)))
 
 
-def _nonnegative(total: int, p: int, q: int, i: int, j: int) -> int:
+def _dot(terms: list[int], signed: list[int], p: int, q: int, i: int, j: int) -> int:
+    total = sum(map(mul, terms, signed))
     if total < 0:
         raise ArithmeticError(
             f"alternating sum went negative at base {(p, q)}, offset {(i, j)}")
@@ -213,9 +208,7 @@ def _count(p: int, q: int, i: int, j: int) -> int:
     """A_{p,q}(i, j) for unchecked p, q >= -1 and i, j >= 0, summed over
     the shorter index (the count is invariant under the reflection
     (p, q, i, j) -> (q, p, j, i))."""
-    total = (_alternating_run(p, q, i, j, j + 1) if i <= j
-             else _alternating_run(q, p, j, i, i + 1))[0]
-    return _nonnegative(total, p, q, i, j)
+    return _dot(*(_level(p, q, i + j, i) if i <= j else _level(q, p, i + j, j)), p, q, i, j)
 
 
 def closed_form(base, off) -> int:
@@ -231,7 +224,7 @@ def closed_form(base, off) -> int:
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    return _nonnegative(_alternating_run(p, q, i, j, j + 1)[0], p, q, i, j)
+    return _dot(*_level(p, q, i + j, i), p, q, i, j)
 
 
 def closed_form_sym(base, off) -> int:
@@ -242,7 +235,7 @@ def closed_form_sym(base, off) -> int:
     """
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
-    return _nonnegative(_alternating_run(q, p, j, i, i + 1)[0], p, q, i, j)
+    return _dot(*_level(q, p, i + j, j), p, q, i, j)
 
 
 def comtet_a00(off) -> int:
@@ -316,4 +309,4 @@ def coefficient_identity_check(p: int, q: int, i: int) -> tuple[int, int]:
         raise ValueError(f"i must be positive, got {i}")
     # The lhs is the kernel at offset (i, 0); it is legitimately negative
     # for some negative q, so it is not checked for sign.
-    return _alternating_run(p, q, i, 0, 1)[0], (q + 1) ** i
+    return sum(map(mul, *_level(p, q, i, i))), (q + 1) ** i

@@ -67,20 +67,32 @@ def test_a_table_converts_each_mirrored_count_once(p, q, imax, jmax, fmt):
                            for i, row in enumerate(cells))
         expected = "i\\j," + ",".join(map(str, range(jmax + 1))) + "\n" + expected
     converted = []
-    decimal = cli._decimal
+    decimals = cli._decimals
 
-    def counted(n):
-        converted.append(n)
-        return decimal(n)
+    def counted(counts):
+        converted.extend(counts)
+        return decimals(counts)
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli, "_decimal", counted)
+        mp.setattr(cli, "_decimals", counted)
         rc = cli.main(["table", "--p", str(p), "--q", str(q), "--imax", str(imax),
                        "--jmax", str(jmax), "--format", fmt])
     assert rc == 0 and out.getvalue() == expected
     assert converted == [cells[i][j] for i in range(imax + 1)
                          for j in range(i if p == q and i <= jmax else 0, jmax + 1)]
+
+
+def test_a_row_is_converted_in_one_str_pass_unless_a_count_is_past_the_limit(monkeypatch):
+    # _decimal, one Python call per count, is left to rows holding a count
+    # of more than _STR_BITS bits; every other row takes one map(str, ...).
+    decimal, widest = cli._decimal, 2 ** cli._STR_BITS - 1
+    converted = []
+    monkeypatch.setattr(cli, "_decimal", lambda n: converted.append(n) or decimal(n))
+    assert cli._decimals([0, 7, widest]) == ["0", "7", str(widest)]
+    assert converted == []
+    assert cli._decimals([7, widest + 1]) == ["7", str(widest + 1)]
+    assert converted[:2] == [7, widest + 1]     # then the halves it splits into
 
 
 def test_table_is_deterministic(capsys):
@@ -219,10 +231,10 @@ def test_decode_error_exit(capsys):
 
 
 def test_a_negative_kernel_result_exits_two_with_one_line(capsys, monkeypatch):
-    # _nonnegative raises ArithmeticError when the alternating sum goes
-    # negative; main reports it like any other refusal.
-    monkeypatch.setattr(eulerian, "_alternating_run",
-                        lambda p, q, i, j, stop: [-1] * (stop - j))
+    # _dot raises ArithmeticError when the alternating sum goes negative;
+    # main reports it like any other refusal.
+    monkeypatch.setattr(eulerian, "_level",
+                        lambda p, q, e, k: ([-1] * (k + 1), [1] * (k + 1)))
     for argv in (("good", "--p", "1", "--q", "1", "--i", "2", "--j", "3"),
                  ("verify", "--suite", "recurrence", "--pmax", "0", "--qmax", "0")):
         rc, out, err = run(capsys, *argv)
@@ -367,6 +379,20 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["transport", "--from", "1,x", "--to", "0,1", "--path", "(1,0):"])
     assert exc.value.code == 2
+
+
+def test_a_negative_coordinate_is_refused_by_the_parser(capsys):
+    # Only the --flag=value form hands _pair a text that starts with a minus.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["orbit", "--vertex=-1,2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "coordinates must be nonnegative" in captured.err
+
+
+def test_converge_without_samples_exits_two_with_one_line(capsys):
+    argv = ("converge", "--p", "0", "--q", "0", "--diag", "2", "--step", "5")
+    assert run(capsys, *argv) == (2, "", "error: no samples: --diag smaller than --step\n")
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):

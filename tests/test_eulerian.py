@@ -2,6 +2,8 @@
 
 import inspect
 import time
+from itertools import islice
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +31,12 @@ from euleradic import (
     ratio_down_q,
     recurrence_table,
 )
-from euleradic.eulerian import _alternating_run, _fill
+from euleradic.eulerian import _fill, _level, _levels
+
+
+def _sum(terms, signed):
+    # The kernel's alternating sum: the dot product of its two lists.
+    return sum(map(mul, terms, signed))
 
 
 def test_known_small_values():
@@ -69,12 +76,14 @@ def test_kernel_at_bases_down_to_minus_one():
             rows = _fill(p, q, 8, 8)
             for i in range(9):
                 for j in range(9):
-                    assert _alternating_run(p, q, i, j, j + 1) == [rows[i][j]]
-                    assert _alternating_run(q, p, j, i, i + 1) == [rows[i][j]]
-            # and as runs: row i along j, and column j as a row of the reflection
-            for i in range(9):
-                assert _alternating_run(p, q, i, 0, 9) == rows[i]
-                assert _alternating_run(q, p, i, 0, 9) == [row[i] for row in rows]
+                    assert _sum(*_level(p, q, i + j, i)) == rows[i][j]
+                    assert _sum(*_level(q, p, i + j, j)) == rows[i][j]
+            # and as stepped levels: each cell of level e over i from the
+            # (p, q) terms, and over j from the mirror's
+            for e, (terms, mirror, signed) in zip(range(17), _levels(p, q, 8)):
+                for i in range(max(0, e - 8), min(e, 8) + 1):
+                    assert _sum(terms[8 - i:], signed) == rows[i][e - i]
+                    assert _sum(mirror[8 - e + i:], signed) == rows[i][e - i]
 
 
 def generalized_binomial(m: int, k: int) -> int:
@@ -106,31 +115,47 @@ def _literal_alternating_sum(p, q, i, j):
 
 @given(st.integers(-1, 8), st.integers(-1, 8), st.integers(0, 40), st.integers(0, 40))
 def test_alternating_sum_is_its_formula(p, q, i, j):
-    assert _alternating_run(p, q, i, j, j + 1) == [_literal_alternating_sum(p, q, i, j)]
+    assert _sum(*_level(p, q, i + j, i)) == _literal_alternating_sum(p, q, i, j)
 
 
 @given(st.integers(-1, 8), st.integers(-15, 8), st.integers(0, 40))
 def test_alternating_sum_is_its_formula_at_negative_q(p, q, i):
     # The coefficient identity reads the kernel at j = 0 with q down to -15,
     # where C(p+q+t+1, t) and C(p+q+i+2, i-t) take negative upper arguments.
-    assert _alternating_run(p, q, i, 0, 1) == [_literal_alternating_sum(p, q, i, 0)]
+    assert _sum(*_level(p, q, i, i)) == _literal_alternating_sum(p, q, i, 0)
 
 
 @given(st.integers(-1, 8), st.integers(-1, 8), st.integers(0, 25),
        st.integers(0, 25), st.integers(1, 25))
 def test_a_run_is_its_formula_at_every_cell(p, q, i, j0, length):
-    # Pascal's rule steps the binomials from cell to cell; each cell of the
-    # run must still be the formula evaluated afresh.
-    assert _alternating_run(p, q, i, j0, j0 + length) == [
+    # Pascal's rule steps the signed row from level to level; each cell of
+    # a run along j, read off the stepped levels, must still be the formula
+    # evaluated afresh, and so must the mirror's cell at each level.
+    _run_is_its_formula(p, q, i, j0, length)
+
+
+def _run_is_its_formula(p, q, i, j0, length):
+    levels = list(islice(_levels(p, q, i), i + j0, i + j0 + length))
+    assert [_sum(terms, signed) for terms, _, signed in levels] == [
         _literal_alternating_sum(p, q, i, j) for j in range(j0, j0 + length)]
+    assert [_sum(mirror, signed) for _, mirror, signed in levels] == [
+        _literal_alternating_sum(q, p, i, j) for j in range(j0, j0 + length)]
 
 
 @given(st.integers(-1, 4), st.integers(-15, -2), st.integers(0, 8),
        st.integers(0, 4), st.integers(1, 8))
 def test_a_run_is_its_formula_at_negative_q(p, q, i, j0, length):
     # Upper arguments pass through 0 and below as N = p+q+i+j+2 grows.
-    assert _alternating_run(p, q, i, j0, j0 + length) == [
-        _literal_alternating_sum(p, q, i, j) for j in range(j0, j0 + length)]
+    _run_is_its_formula(p, q, i, j0, length)
+
+
+@given(st.integers(-1, 8), st.integers(-15, 8), st.integers(0, 12), st.integers(0, 30))
+def test_a_stepped_level_is_the_level_built_fresh(p, q, k, levels):
+    # closed_form_table steps each level's lists from the last; at every
+    # level they must be what the kernel builds afresh, on both sides.
+    for e, (terms, mirror, signed) in zip(range(levels + 1), _levels(p, q, k)):
+        assert (terms, signed) == _level(p, q, e, k)
+        assert (mirror, signed) == _level(q, p, e, k)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 20), st.integers(0, 20))
@@ -158,8 +183,8 @@ def test_skewed_offsets_sum_over_the_shorter_index():
 
 
 def test_a_tall_closed_form_table_sums_over_the_shorter_index():
-    # Run along j, row i of this 2,002-cell table would take i+1 terms
-    # per cell; run along i per column, each cell takes at most 2.
+    # Summed over i, cell (i, j) of this 2,002-cell table would take i+1
+    # terms; summed over its shorter index j, it takes at most 2.
     start = time.perf_counter()
     table = closed_form_table(ORIGIN, 1000, 1)
     elapsed = time.perf_counter() - start
@@ -170,24 +195,25 @@ def test_a_tall_closed_form_table_sums_over_the_shorter_index():
 @pytest.mark.parametrize("imax,jmax", [(9, 9), (14, 4), (4, 14)])
 def test_every_closed_form_table_cell_sums_over_its_shorter_index(monkeypatch,
                                                                   imax, jmax):
-    # A kernel run (p, q, i, j, stop) costs i+1 terms per cell.  Each cell
-    # must be placed by exactly one run, from its own orientation when
+    # Each cell is one dot product, whose shorter list sets its terms.  Each
+    # cell must be placed by exactly one, from its own orientation when
     # i <= j and from the mirror's when i > j, so that it costs min(i, j)+1.
-    # With p != q a run's (p, q) tells which orientation it took.
-    runs = []
-    kernel = eulerian._alternating_run
+    # With p != q the terms tell which orientation it took.
+    dots = []
+    dot = eulerian._dot
 
-    def recorded(p, q, i, j, stop):
-        runs.append((p, q, i, j, stop))
-        return kernel(p, q, i, j, stop)
+    def recorded(terms, signed, p, q, i, j):
+        dots.append((terms[:len(signed)], i, j))
+        return dot(terms, signed, p, q, i, j)
 
-    monkeypatch.setattr(eulerian, "_alternating_run", recorded)
+    monkeypatch.setattr(eulerian, "_dot", recorded)
     table = closed_form_table((2, 1), imax, jmax)
     assert table.cells == recurrence_table((2, 1), imax, jmax).cells
-    assert sum((i + 1) * (stop - j) for _, _, i, j, stop in runs) == sum(
+    assert sum(len(terms) for terms, _, _ in dots) == sum(
         min(i, j) + 1 for i in range(imax + 1) for j in range(jmax + 1))
-    placed = [(i, k) if (p, q) == (2, 1) else (k, i)
-              for p, q, i, j, stop in runs for k in range(j, stop)]
+    assert all(terms == (_level(2, 1, i + j, i) if i <= j else _level(1, 2, i + j, j))[0]
+               for terms, i, j in dots)
+    placed = [(i, j) for _, i, j in dots]
     assert sorted(placed) == [(i, j) for i in range(imax + 1) for j in range(jmax + 1)]
 
 
@@ -207,7 +233,8 @@ def test_comtet_sums_without_the_kernel(monkeypatch):
 
     def kernel(*args):
         raise AssertionError("comtet_a00 ran the closed-form kernel")
-    monkeypatch.setattr(eulerian, "_alternating_run", kernel)
+    monkeypatch.setattr(eulerian, "_level", kernel)
+    monkeypatch.setattr(eulerian, "_dot", kernel)
     assert [comtet_a00(off) for off in cells] == expected
 
 
