@@ -12,7 +12,7 @@ _SUBMODULE = {name: module for module, names in {
     "adic": "IncomingEdge compare cylinder_frequency cylinder_measure "
             "incoming_order maximal_path minimal_path orbit successor",
     "encoding": "EncodingSequence decode encode format_code "
-                "parse_code transport unmarked_counts unmarked_trail",
+                "parse_code transport unmarked_trail",
     "errors": "BudgetError DecodeError MaximalPathError PathValidationError",
     "eulerian": "CountTable Offset ORIGIN Vertex classical_eulerian_oracle "
                 "closed_form closed_form_sym closed_form_table "
@@ -24,8 +24,7 @@ _SUBMODULE = {name: module for module, names in {
              "enumerate_paths format_path parse_path validate",
     "ratios": "ConvergenceRecord check_monotonicity convergence_report "
               "directional_limit_q divergence_threshold "
-              "monotonicity_violations normalized_dim_ratio ratio_down_p "
-              "ratio_down_q",
+              "monotonicity_violations normalized_dim_ratio ratio_down_q",
 }.items() for name in names.split()}
 
 __all__ = sorted(_SUBMODULE)

@@ -86,13 +86,6 @@ def unmarked_trail(scheme: LabelScheme, path: EulerPath) -> list[tuple[int, int]
     return trail
 
 
-def unmarked_counts(scheme: LabelScheme, path: EulerPath, m: int) -> tuple[int, int]:
-    """Entry m of unmarked_trail(scheme, path), for 0 <= m <= len(path.steps)."""
-    if not 0 <= m <= len(path.steps):
-        raise ValueError(f"step index {m} outside [0, {len(path.steps)}]")
-    return unmarked_trail(scheme, path)[m]
-
-
 def decode(scheme: LabelScheme, code: EncodingSequence) -> EulerPath:
     """Reconstruct the unique path from scheme.base whose encoding is
     `code`.  Requires code.base_level = the base's level; raises

@@ -35,40 +35,25 @@ class LabelScheme:
     mask of labels, bit a-1 stands for s_a, so `bundles` maps each
     direction to its first mask bit and its labeled-edge count:
     H to (0, q+1) and V to (q+1, p+1).  `full_mask` has all p+q+2 label
-    bits set; only this module reads masks.  A scheme is immutable, equal
-    by its base alone, and owns `_marked`, the s-symbols encode emits, and
-    `_directions`: for H then V, (*bundles[d], unmarked symbols, steps).
+    bits set; only this module reads masks.  A scheme is a plain object,
+    printed by its base, and owns `_marked`, the s-symbols encode emits,
+    and `_directions`: for H then V, (*bundles[d], unmarked symbols, steps).
     """
 
     __slots__ = ("base", "bundles", "label_count", "full_mask", "_directions", "_marked")
 
     def __init__(self, base):
-        p, q = base = _as_vertex(base)
-        bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
-        rows = ((*bundles[d], _Table(partial(EncodingSymbol, k)), _Table(partial(Step, d)))
-                for d, k in zip(bundles, KINDS[1:]))
-        for name, value in zip(self.__slots__, (
-                base, bundles, p + q + 2, (1 << (p + q + 2)) - 1, tuple(rows),
-                _Table(partial(EncodingSymbol, KINDS[0]))), strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-    __delattr__ = __setattr__
+        p, q = self.base = _as_vertex(base)
+        self.bundles = bundles = {HORIZONTAL: (0, q + 1), VERTICAL: (q + 1, p + 1)}
+        self.label_count = p + q + 2
+        self.full_mask = (1 << (p + q + 2)) - 1
+        self._directions = tuple(
+            (*bundles[d], _Table(partial(EncodingSymbol, k)), _Table(partial(Step, d)))
+            for d, k in zip(bundles, KINDS[1:]))
+        self._marked = _Table(partial(EncodingSymbol, KINDS[0]))
 
     def __repr__(self) -> str:
         return f"LabelScheme(base={self.base!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.base == other.base
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base,))
-
-    def __reduce__(self):
-        return LabelScheme, (self.base,)
 
     def consumed(self, steps) -> int:
         """Mask of the labels a sequence of steps consumes."""

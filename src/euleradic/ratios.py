@@ -22,7 +22,9 @@ from .eulerian import (CountTable, Offset, ORIGIN, Vertex, _as_offset,
 
 
 def ratio_down_q(base, off) -> Fraction:
-    """A_{p,q}(i, j) / A_{p,q-1}(i, j), exactly.  Requires q >= 1."""
+    """A_{p,q}(i, j) / A_{p,q-1}(i, j), exactly.  Requires q >= 1.  By the
+    reflection (p, q, i, j) -> (q, p, j, i), A_{p,q}(i, j) / A_{p-1,q}(i, j)
+    is ratio_down_q((q, p), (j, i))."""
     p, q = _as_vertex(base)
     i, j = _as_offset(off)
     if q < 1:
@@ -30,18 +32,6 @@ def ratio_down_q(base, off) -> Fraction:
     if (i, j) == (0, 0):
         raise ValueError("ratio is not defined at the zero offset")
     return Fraction(_count(p, q, i, j), _count(p, q - 1, i, j))
-
-
-def ratio_down_p(base, off) -> Fraction:
-    """A_{p,q}(i, j) / A_{p-1,q}(i, j), exactly.  Requires p >= 1.
-
-    Equals ratio_down_q under the reflection (p, q, i, j) -> (q, p, j, i).
-    """
-    p, q = _as_vertex(base)
-    i, j = _as_offset(off)
-    if p < 1:
-        raise ValueError(f"ratio_down_p needs p >= 1, got base {(p, q)}")
-    return ratio_down_q((q, p), (j, i))
 
 
 def _check_window(imax: int, jmax: int) -> None:
@@ -118,7 +108,10 @@ def directional_limit_q(base, i: int) -> Fraction:
 def divergence_threshold(base, M) -> int:
     """Smallest I with (p+q+I-1)/(p+q-1) > M; for offsets with i >= I the
     ratio_down_q values stay above M (checked on finite windows, since the
-    inequality at the limit controls large i).  Requires p+q >= 2."""
+    inequality at the limit controls large i).  Requires p+q >= 2, and M
+    exact: a float is refused, as Fraction would read its binary value."""
+    if isinstance(M, float):
+        raise TypeError(f"M must be exact (an int or a Fraction), got float {M!r}")
     p, q = _as_vertex(base)
     if q < 1:
         raise ValueError(f"divergence threshold needs q >= 1, got base {(p, q)}")

@@ -502,3 +502,23 @@ def test_closed_pipe_exits_two_without_a_traceback():
     assert proc.wait(timeout=60) == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--vertex", "5,3"],
+    ["table", "--p", "0", "--q", "0", "--imax", "300", "--jmax", "300"],
+], ids=["orbit", "table"])
+def test_a_reader_that_leaves_after_one_line_gets_one_error_line(argv):
+    # Both outputs overrun any pipe buffer (88,234 orbit lines; about 50 MB
+    # of table), so the write that meets the closed pipe is inside
+    # cli.main, run as `python -m euleradic`.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "euleradic", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().endswith(b"\n")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: output closed before it was all written (broken pipe)\n"

@@ -28,7 +28,6 @@ from euleradic import (
     parse_code,
     parse_path,
     transport,
-    unmarked_counts,
     unmarked_trail,
     validate,
 )
@@ -80,9 +79,9 @@ def test_encode_rejects_wrong_start():
 def test_unmarked_counts_examples():
     s = _scheme(0, 0)
     path = _path((0, 0), [("H", 1), ("V", 2)])
-    assert unmarked_counts(s, path, 0) == (0, 0)
-    assert unmarked_counts(s, _path((0, 0), [("H", 1)]), 1) == (1, 1)
-    assert unmarked_counts(s, path, 2) == (2, 1)
+    assert unmarked_trail(s, path)[0] == (0, 0)
+    assert unmarked_trail(s, _path((0, 0), [("H", 1)]))[1] == (1, 1)
+    assert unmarked_trail(s, path)[2] == (2, 1)
 
 
 def test_unmarked_counts_follow_step_recursion():
@@ -90,9 +89,8 @@ def test_unmarked_counts_follow_step_recursion():
         scheme = _scheme(*base)
         for off in [(2, 2), (3, 1), (1, 3)]:
             for path in enumerate_paths(base, off):
-                counts = _symbol_recursion(encode(scheme, path))
-                for m, hv in enumerate(counts):
-                    assert unmarked_counts(scheme, path, m) == hv
+                counts = list(_symbol_recursion(encode(scheme, path)))
+                assert unmarked_trail(scheme, path) == counts
 
 
 def test_unmarked_counts_rejects_invalid_paths():
@@ -100,9 +98,6 @@ def test_unmarked_counts_rejects_invalid_paths():
     bad = parse_path("(0,0):H5")
     with pytest.raises(PathValidationError):
         encode(s, bad)
-    for m in (0, 1):
-        with pytest.raises(PathValidationError):
-            unmarked_counts(s, bad, m)
     with pytest.raises(PathValidationError):
         unmarked_trail(s, bad)
 
@@ -117,17 +112,12 @@ def test_unmarked_trail_examples():
         == [(0, 0), (1, 1), (2, 2), (2, 3)]
 
 
-def test_unmarked_counts_checks_m_then_base_then_path():
+def test_unmarked_trail_checks_base_then_path():
     s = _scheme(0, 0)
-    elsewhere = parse_path("(1,0):H5")
-    with pytest.raises(ValueError, match="step index 2 outside"):
-        unmarked_counts(s, elsewhere, 2)
     with pytest.raises(ValueError, match="path starts at"):
-        unmarked_counts(s, elsewhere, 1)
-    with pytest.raises(ValueError, match="path starts at"):
-        unmarked_trail(s, elsewhere)
+        unmarked_trail(s, parse_path("(1,0):H5"))
     with pytest.raises(PathValidationError, match="step 1"):
-        unmarked_counts(s, parse_path("(0,0):H5"), 1)
+        unmarked_trail(s, parse_path("(0,0):H5"))
 
 
 def test_decode_inverts_encode():
@@ -178,8 +168,8 @@ def test_a_scheme_hands_out_its_own_steps_and_symbols():
     # A bool index gives a plain int one too.
     (sym,) = encode(scheme, _path((1, 1), [("H", True)])).symbols
     assert sym == EncodingSymbol("s", 1) and type(sym.index) is int
-    # Two fresh schemes share no table, and an equal scheme starts empty.
-    assert other == scheme and _tables(other) == ({"H": {}, "V": {}}, [{}, {}, {}])
+    # Two fresh schemes share no table, and one at the same base starts empty.
+    assert other.base == scheme.base and _tables(other) == ({"H": {}, "V": {}}, [{}, {}, {}])
     decode(other, codes[-1])
     encode(other, paths[-1])
     mine = [scheme._marked, *(t for row in scheme._directions for t in row[2:])]
@@ -417,8 +407,6 @@ def test_unmarked_counts_follow_the_symbol_recursion(case):
     scheme, path = case
     trail = unmarked_trail(scheme, path)
     assert trail == list(_symbol_recursion(encode(scheme, path)))
-    for m, hv in enumerate(trail):
-        assert unmarked_counts(scheme, path, m) == hv
 
 
 @given(deep_good_paths())
@@ -635,15 +623,13 @@ def one_bad_step(draw):
     return scheme, EulerPath(path.start, tuple(steps[:at] + [bad] + steps[at:]))
 
 
-@given(one_bad_step(), st.data())
-def test_every_public_call_raises_the_reference_validation_error(case, data):
+@given(one_bad_step())
+def test_every_public_call_raises_the_reference_validation_error(case):
     scheme, path = case
     expected = _error(_reference_validate, path)
-    m = data.draw(st.integers(0, len(path.steps)))
     assert _error(validate, path) == expected
     assert _error(encode, scheme, path) == expected
     assert _error(is_good, scheme, path) == expected
-    assert _error(unmarked_counts, scheme, path, m) == expected
     assert _error(unmarked_trail, scheme, path) == expected
     assert _error(transport, scheme, scheme, path) == expected
     if expected is None:

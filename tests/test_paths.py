@@ -33,7 +33,6 @@ from euleradic import (
     parse_path,
     successor,
     transport,
-    unmarked_counts,
     unmarked_trail,
     validate,
 )
@@ -156,7 +155,6 @@ START_CHECKED = {
     "is_good": lambda path: is_good(_ROOT_SCHEME, path),
     "encode": lambda path: encode(_ROOT_SCHEME, path),
     "unmarked_trail": lambda path: unmarked_trail(_ROOT_SCHEME, path),
-    "unmarked_counts": lambda path: unmarked_counts(_ROOT_SCHEME, path, 0),
     "transport": lambda path: transport(_ROOT_SCHEME, _ROOT_SCHEME, path),
     "compare": lambda path: compare(_p("(0,0):H1,V1"), path),
     "successor": successor,

@@ -19,7 +19,6 @@ from euleradic import (
     divergence_threshold,
     monotonicity_violations,
     normalized_dim_ratio,
-    ratio_down_p,
     ratio_down_q,
     recurrence_table,
 )
@@ -30,11 +29,11 @@ def test_ratio_values():
     # 7 = 4 + 3 paths from (0,1) to (1,2), counted by hand
     assert ratio_down_q((0, 1), (1, 1)) == Fraction(7, 4)
     assert ratio_down_q((1, 1), (1, 1)) == Fraction(12, 7)
-    assert ratio_down_p((1, 1), (1, 1)) == Fraction(12, 7)
     # reflection symmetry: swapping the roles of rows and columns swaps the
     # two ratio families
     for off in [(1, 2), (3, 1), (2, 2)]:
-        assert ratio_down_q((2, 1), off) == ratio_down_p((1, 2), off[::-1])
+        assert ratio_down_q((2, 1), off) == Fraction(
+            closed_form((1, 2), off[::-1]), closed_form((0, 2), off[::-1]))
 
 
 def test_ratios_equal_quotients_of_the_j_indexed_form():
@@ -42,15 +41,13 @@ def test_ratios_equal_quotients_of_the_j_indexed_form():
         p, q = base
         assert ratio_down_q(base, off) == Fraction(
             closed_form_sym(base, off), closed_form_sym((p, q - 1), off))
-        assert ratio_down_p(base, off) == Fraction(
+        assert ratio_down_q((q, p), off[::-1]) == Fraction(
             closed_form_sym(base, off), closed_form_sym((p - 1, q), off))
 
 
 def test_ratio_domain_errors():
     with pytest.raises(ValueError):
         ratio_down_q((1, 0), (1, 1))
-    with pytest.raises(ValueError):
-        ratio_down_p((0, 1), (1, 1))
     with pytest.raises(ValueError):
         ratio_down_q((1, 1), (0, 0))
 
@@ -208,6 +205,10 @@ def test_divergence_threshold_values():
     assert divergence_threshold((1, 1), 0) == 0
     assert divergence_threshold((1, 1), Fraction(1, 2)) == 0
     assert divergence_threshold((2, 2), 10) == 28
+    # (5+6+I-1)/(5+6-1) > 7/5 first at I = 5; I = 4 gives exactly 7/5.
+    assert divergence_threshold((5, 6), Fraction(7, 5)) == 5
+    with pytest.raises(TypeError, match="got float 1.4"):
+        divergence_threshold((5, 6), 1.4)
     with pytest.raises(ValueError):
         divergence_threshold((1, 0), 3)
     with pytest.raises(ValueError):

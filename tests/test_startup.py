@@ -100,6 +100,21 @@ def test_every_public_name_is_the_attribute_of_its_submodule():
         assert name not in vars(euleradic) and name in dir(euleradic)
 
 
+# The map's names that are neither functions nor classes.
+CONSTANTS = {"ORIGIN", "HORIZONTAL", "VERTICAL"}
+
+
+@pytest.mark.parametrize("module", sorted(set(euleradic._SUBMODULE.values())))
+def test_each_module_defines_exactly_the_public_names_mapped_to_it(module):
+    module = importlib.import_module(f"euleradic.{module}")
+    defined = {name for name, value in vars(module).items()
+               if not name.startswith("_") and callable(value)
+               and getattr(value, "__module__", None) == module.__name__}
+    mapped = {name for name, where in euleradic._SUBMODULE.items()
+              if f"euleradic.{where}" == module.__name__}
+    assert defined == mapped - CONSTANTS
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         euleradic.no_such_name
