@@ -48,28 +48,29 @@ class Offset(NamedTuple):
 ORIGIN = Vertex(0, 0)
 
 
-def _as_vertex(v) -> Vertex:
+def _pair(v, cls, noun: str, part: str):
+    # v as a cls of two nonnegative ints; an error names the noun, its parts
+    # and what was read.
     try:
-        x, y = v
+        a, b = v
     except ValueError:
-        raise ValueError(f"vertex must be two coordinates, got {v!r}") from None
-    if type(v) is Vertex and type(x) is int and type(y) is int and x >= 0 and y >= 0:
-        return v                            # already exact
-    x, y = index(x), index(y)
-    if x < 0 or y < 0:
-        raise ValueError(f"vertex coordinates must be nonnegative, got {(x, y)!r}")
-    return tuple.__new__(Vertex, (x, y))    # without the Python-level __new__
+        raise ValueError(f"{noun} must be two {part}s, got {v!r}") from None
+    a, b = index(a), index(b)
+    if a < 0 or b < 0:
+        raise ValueError(f"{noun} {part}s must be nonnegative, got {(a, b)!r}")
+    return tuple.__new__(cls, (a, b))       # without the Python-level __new__
+
+
+def _as_vertex(v) -> Vertex:
+    if type(v) is Vertex:
+        x, y = v
+        if type(x) is int and type(y) is int and x >= 0 and y >= 0:
+            return v                        # already exact
+    return _pair(v, Vertex, "vertex", "coordinate")
 
 
 def _as_offset(off) -> Offset:
-    try:
-        i, j = off
-    except ValueError:
-        raise ValueError(f"offset must be two components, got {off!r}") from None
-    i, j = index(i), index(j)
-    if i < 0 or j < 0:
-        raise ValueError(f"offset components must be nonnegative, got {(i, j)!r}")
-    return Offset(i, j)
+    return _pair(off, Offset, "offset", "component")
 
 
 class CountTable:

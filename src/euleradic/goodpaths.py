@@ -7,10 +7,10 @@ it consumes all p+q+2 labels.  Good paths exist exactly when i >= q+1
 and j >= p+1.
 
 Counting is done two ways: honest exhaustive traversal (every parallel
-edge walked separately, consumed sets kept as LabelScheme masks) and
-inclusion-exclusion over the labels a path misses, which reduces to
-signed sums of ordinary path counts from shifted bases (see
-count_good_dp).
+edge walked separately over paths._rows, each edge's label bit read from
+LabelScheme.consumed) and inclusion-exclusion over the labels a path
+misses, which reduces to signed sums of ordinary path counts from
+shifted bases (see count_good_dp).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 from .errors import DEFAULT_CELL_BUDGET, DEFAULT_ENUM_BUDGET, BudgetError
 from .eulerian import Vertex, _as_offset, _as_vertex, _count, _fill, _table_base
 from .paths import (EncodingSymbol, EulerPath, HORIZONTAL, KINDS, Step, VERTICAL,
-                    _Table, _enum_args, validate)
+                    _Table, _enum_args, _rows, validate)
 
 
 class LabelScheme:
@@ -91,36 +91,26 @@ def count_good_enumeration(base, off, *,
                            max_enum: int = DEFAULT_ENUM_BUDGET) -> int:
     """Count good paths by walking every path (each parallel edge taken
     separately) and testing the consumed set at the end."""
-    base, (i, j) = _enum_args(base, off, max_enum)
+    base, off = _enum_args(base, off, max_enum)
     scheme = LabelScheme(base)
-    # One stack entry per edge taken: the steps still to take, di * w + dj,
-    # above the consumed mask's p+q+2 bits.  The vertex reached is
-    # (p + i - di, q + j - dj), whose horizontal bundle has j - dj edges
-    # past the labeled ones and whose vertical bundle has i - di.
-    w = j + 1
-    width = scheme.label_count
+    # Each edge's item is the label bit it consumes, or 0; masks[d] is the
+    # consumed mask of the path's first d steps.
+    consumed = scheme.consumed
+    rows, depth = _rows(base, off, lambda k: consumed(((HORIZONTAL, k),)),
+                        lambda k: consumed(((VERTICAL, k),)))
     full = scheme.full_mask
-    h_bits, v_bits = ([1 << (first + k) for k in range(labeled)]
-                      for first, labeled in map(scheme.bundles.get,
-                                                (HORIZONTAL, VERTICAL)))
+    masks = [0] * sum(off)
     n = 0
-    stack = [(i * w + j) << width]
-    pop, push = stack.pop, stack.append
+    stack = rows[-1]
+    pop = stack.pop
     while stack:
-        code = pop()
-        if code > full:                    # steps left
-            di, dj = divmod(code >> width, w)
-            if di:
-                child = code - (w << width)
-                for bit in h_bits:
-                    push(child | bit)
-                stack += [child] * (j - dj)    # unlabeled horizontal edges
-            if dj:
-                child = code - (1 << width)
-                for bit in v_bits:
-                    push(child | bit)
-                stack += [child] * (i - di)    # unlabeled vertical edges
-        elif code == full:
+        bit = pop()
+        rest = pop()
+        if rest:
+            d = depth[rest]
+            masks[d + 1] = masks[d] | bit
+            stack += rows[rest]
+        elif masks[-1] | bit == full:      # the last step left masks[-1]
             n += 1
     return n
 

@@ -7,9 +7,10 @@ the vertical bundle x+1).  Enumeration is the ground-truth oracle for the
 counting formulas: it walks every parallel edge individually, so its cost
 is proportional to the number of paths, and it shares no arithmetic with
 the closed form or the recurrence.  Every exhaustive walker, here and in
-goodpaths, pops a stack of entries keyed by the steps left, di * w + dj,
-until code 0; enumerate_paths reads the entries from a table built once
-per walk.  `validate(path, start)` is the one check of a path's start.
+goodpaths, pops the entries of one table built per walk by _rows, keyed
+by the steps left, di * w + dj, until code 0; each entry carries the item
+its walker asked for (a Step, or a label bit in goodpaths).
+`validate(path, start)` is the one check of a path's start.
 """
 
 from __future__ import annotations
@@ -114,42 +115,47 @@ def _step_error(path: EulerPath, start: Vertex, x: int, y: int) -> PathValidatio
                                f"size {size} at vertex {(x, y)}")
 
 
-def _entries(child: int, bundle: list[Step], skip: int) -> list:
-    # Stack entries of the steps of bundle[skip:], each the code it leads to, then
-    # itself: a list of exact size, filled without copying the steps or a slice.
+def _entries(child: int, bundle: list, skip: int) -> list:
+    # Stack entries of the edges of bundle[skip:], each the code it leads to,
+    # then its item: a list of exact size, filled without copying a slice.
     row = [child] * (2 * (len(bundle) - skip))
-    for k, step in enumerate(islice(bundle, skip, None)):
-        row[2 * k + 1] = step
+    for k, item in enumerate(islice(bundle, skip, None)):
+        row[2 * k + 1] = item
     return row
 
 
-def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
+def _rows(base: Vertex, off, h_item, v_item) -> tuple[list[list], list[int]]:
+    # The table of one exhaustive walk.  Code di * w + dj (w = j + 1) is the
+    # vertex (p + i - di, q + j - dj); rows[code] holds one stack entry per
+    # edge leaving it within the walk: the code the edge enters, then its
+    # item, h_item(k) or v_item(k) for edge index k.  Items are shared, and
+    # the entries run V then H by descending index, so popping them takes
+    # the edges in enumeration order.  depth[code] is the position of the
+    # step entering the vertex.  Each walk pops its start row in place.
     (p, q), (i, j) = base, off
-    total = i + j
-    if total == 0:
-        yield tuple.__new__(EulerPath, (base, ()))
-        return
-    # One stack entry per edge still to take: the code of the vertex it
-    # enters, then its step.  Code di * w + dj is (p + i - di, q + j - dj);
-    # rows[code] holds the entries leaving it over shared steps, V then H
-    # by descending index so the pops keep the enumeration order, and
-    # depth[code] is the position of the step entering it.
     w = j + 1
-    top = i * w + j
-    hs = [Step(HORIZONTAL, k) for k in range(q + j + 1, 0, -1)] if i else []
-    vs = [Step(VERTICAL, k) for k in range(p + i + 1, 0, -1)] if j else []
-    rows = [None] * (top + 1)
-    depth = [None] * (top + 1)
+    hs = [h_item(k) for k in range(q + j + 1, 0, -1)] if i else []
+    vs = [v_item(k) for k in range(p + i + 1, 0, -1)] if j else []
+    rows, depth = [], []
     for di in range(i + 1):
         for dj in range(j + 1):
             code = di * w + dj
-            depth[code] = total - 1 - di - dj
             row = _entries(code - 1, vs, di) if dj else []
             if di:
                 row += _entries(code - w, hs, dj)
-            rows[code] = row
-    steps: list[Step] = [None] * total
-    stack = rows[top]       # no edge enters the start, so no row is pushed twice
+            rows.append(row)
+            depth.append(i - di + j - dj - 1)
+    return rows, depth
+
+
+def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
+    if not sum(off):
+        yield tuple.__new__(EulerPath, (base, ()))
+        return
+    rows, depth = _rows(base, off, lambda k: Step(HORIZONTAL, k),
+                        lambda k: Step(VERTICAL, k))
+    steps: list[Step] = [None] * sum(off)
+    stack = rows[-1]        # no edge enters the start, so no row is pushed twice
     pop = stack.pop
     while stack:
         step = pop()
@@ -188,22 +194,15 @@ def count_paths_enumeration(base, off, *,
     """Count paths by actually walking every one of them (each parallel
     edge taken separately).  Independent oracle for the formulas; budget
     as enumerate_paths."""
-    (x, y), (i, j) = _enum_args(base, off, max_enum)
-    # One stack entry per edge taken, holding the steps still to take as
-    # di * w + dj; the vertex reached is (x + i - di, y + j - dj).  A
-    # bundle of k parallel edges is pushed as k separate entries.
-    w = j + 1
+    rows, _ = _rows(*_enum_args(base, off, max_enum), int, int)    # items unread
     n = 0
-    stack = [i * w + j]
+    stack = [len(rows) - 1, None]   # the start as if entered, so an empty walk counts 1
     pop = stack.pop
     while stack:
+        pop()
         rest = pop()
         if rest:
-            di, dj = divmod(rest, w)
-            if di:
-                stack += [rest - w] * (y + j - dj + 1)
-            if dj:
-                stack += [rest - 1] * (x + i - di + 1)
+            stack += rows[rest]
         else:
             n += 1
     return n

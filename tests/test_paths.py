@@ -21,6 +21,7 @@ from euleradic import (
     Vertex,
     closed_form,
     compare,
+    count_good_enumeration,
     count_paths_enumeration,
     cylinder_frequency,
     decode,
@@ -76,6 +77,36 @@ def test_count_by_walking_matches_closed_form():
                     off = (i, s - i)
                     assert count_paths_enumeration((p, q), off) \
                         == closed_form((p, q), off)
+
+
+@pytest.mark.parametrize("base", [(p, q) for p in range(3) for q in range(3)])
+def test_the_three_walkers_agree_path_by_path(base):
+    # The counters count what enumerate_paths yields, and the good counter
+    # counts the yielded paths that is_good calls good, offset (0, 0) included.
+    scheme = LabelScheme(base)
+    for s in range(7):
+        for i in range(s + 1):
+            off = (i, s - i)
+            walked = list(enumerate_paths(base, off))
+            assert count_paths_enumeration(base, off) == len(walked)
+            assert count_good_enumeration(base, off) \
+                == sum(is_good(scheme, x)[0] for x in walked)
+
+
+def test_each_walk_owns_its_table():
+    # Two walks of one cell, advanced alternately, each yield the paths of
+    # one walk alone: a walk pops its start row in place.
+    alone = list(enumerate_paths((1, 0), (2, 2)))
+    first, second = enumerate_paths((1, 0), (2, 2)), enumerate_paths((1, 0), (2, 2))
+    pairs = list(zip(first, second))
+    assert [a for a, _ in pairs] == [b for _, b in pairs] == alone
+    assert next(first, None) is next(second, None) is None
+
+
+def test_one_step_walks_over_wide_bundles():
+    # The widest rows and masks any walker builds: one bundle of p + 1 edges.
+    assert count_paths_enumeration((10 ** 5, 0), (0, 1)) == 10 ** 5 + 1
+    assert count_good_enumeration((20000, 0), (0, 1)) == 0
 
 
 def test_long_walk_leaves_recursion_limit_alone():
