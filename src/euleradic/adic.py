@@ -10,14 +10,15 @@ it reaches, and the top level is the most significant digit.  The
 successor map advances the odometer: it increments the lowest digit that
 can still grow and resets everything below it to the minimal path to the
 new parent, in place and in amortized O(1) time per path.  `orbit`
-starts the odometer at the minimal path and advances it through
-`successor`, passing the odometer as an argument with each call, so no
-path that `orbit` yields is parsed or validated and no call keeps state
-between calls; each path costs one successor call.  Each odometer owns
-one table of steps per direction, keyed by edge index, so raising a digit
-looks its step up, and nothing it builds outlives the odometer and the
-paths that hold its steps.  The symmetric measure assigns exactly
-1/(n+1)! to every cylinder of length n.
+starts the odometer at the minimal path and passes it as an argument to
+`successor` with each path, so no path that `orbit` yields is parsed or
+validated, no call keeps state between calls and each path costs one
+successor call.  Each odometer owns one table of steps per direction,
+keyed by edge index, which a raised digit looks its step up in, and one
+table of the rows of the minimal path to each parent, which a reset
+copies in; nothing it builds outlives the odometer and the paths that
+hold its steps.  The symmetric measure assigns exactly 1/(n+1)! to
+every cylinder of length n.
 """
 
 from __future__ import annotations
@@ -122,30 +123,31 @@ class _Odometer:
     # incoming edges.  `tables` maps an edge index, a plain int, to its H
     # step and to its V step; the caller's steps and every raised digit
     # come from them, so a loaded path holds only Steps with int indices.
+    # `resets` maps a parent (px, py) to its minimal path's steps, xs and ranks.
 
-    __slots__ = ("steps", "xs", "ranks", "lo", "tables")
+    __slots__ = ("steps", "xs", "ranks", "lo", "tables", "resets")
 
     def __init__(self, steps):
         # `steps` must be a valid root path; nothing is checked here.
         self.tables = h, v = (_Table(partial(Step, HORIZONTAL)),
                               _Table(partial(Step, VERTICAL)))
+        self.resets = _Table(lambda p: (_minimal_steps(*p), [0] * p[1] + [*range(1, p[0] + 1)],
+                                        [0] * sum(p)))
         self.steps = [(h if d == HORIZONTAL else v)[int(idx)] for d, idx in steps]
         self.xs = list(accumulate(int(d == HORIZONTAL) for d, _ in self.steps))
         self.ranks = [_incoming_rank(x, k + 1 - x, s)
                       for k, (x, s) in enumerate(zip(self.xs, self.steps))]
-        self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k),
-                       len(self.steps))
+        self.lo = next((k for k, x in enumerate(self.xs) if 0 < x <= k), len(self.xs))
 
 
 def successor(x: EulerPath, *, _odometer: _Odometer | None = None) -> EulerPath:
     """The smallest root path to the same end vertex that is strictly
-    greater than x; raises MaximalPathError when x is maximal.  x is
-    checked and loaded first, in time linear in its length.  `_odometer`
-    belongs to orbit: it is the odometer behind x, advanced in place
-    instead of checking and loading x, so walking an orbit takes
-    amortized O(1) time per path; nothing about it is checked.  Every
-    step of the result is a Step with an int index, whatever pairs x
-    was given with."""
+    greater than x; raises MaximalPathError when x is maximal.  x is checked
+    and loaded first, in time linear in its length.  `_odometer` belongs to
+    orbit: it is the odometer behind x, advanced in place instead of checking
+    and loading x, so walking an orbit takes amortized O(1) time per path;
+    nothing about it is checked.  Every step of the result is a Step with an
+    int index, whatever pairs x was given with."""
     odometer = _odometer
     if odometer is None:
         validate(x, ORIGIN)
@@ -175,19 +177,15 @@ def successor(x: EulerPath, *, _odometer: _Odometer | None = None) -> EulerPath:
     # then H1 * px.  A parent on an axis has one root path, already in
     # place unless the parent changed (rank cy to cy + 1).
     if px and py or rank == cy + 1:
-        steps[:m] = _minimal_steps(px, py)
-        xs[:m] = [0] * py + list(range(1, px + 1))
-        ranks[:m] = [0] * m
+        steps[:m], xs[:m], ranks[:m] = odometer.resets[px, py]
     odometer.lo = py if px and py else m
     return tuple.__new__(EulerPath, (ORIGIN, tuple(steps)))
 
 
 def orbit(v, *, max_enum: int = DEFAULT_ENUM_BUDGET) -> Iterator[EulerPath]:
-    """All root paths to v in successor order, from minimal to maximal.
-    The exact path count is checked against the budget first.  The paths
-    come from one odometer started at the minimal path and passed to
-    successor with each path, so none of them is parsed or checked, and
-    each costs one successor call."""
+    """All root paths to v in successor order, from minimal to maximal,
+    once the exact path count fits the budget.  Each path costs one
+    successor call on one odometer, and none of them is checked."""
     _, v = _enum_args(ORIGIN, v, max_enum)
 
     def run() -> Iterator[EulerPath]:

@@ -115,27 +115,29 @@ def _step_error(path: EulerPath, start: Vertex, x: int, y: int) -> PathValidatio
                                f"size {size} at vertex {(x, y)}")
 
 
-def _entries(child: int, bundle: list, skip: int) -> list:
-    # Stack entries of the edges of bundle[skip:], each the code it leads to,
-    # then its item: a list of exact size, filled without copying a slice.
-    row = [child] * (2 * (len(bundle) - skip))
+def _entries(child: int, bundle, skip: int) -> list:
+    # Stack entries of the edges of bundle[skip:], each the code it leads to, then
+    # its item (None for a bundle given as its size), filled without copying a slice.
+    if type(bundle) is int:
+        return [child, None] * (bundle - skip)
+    row = [child, None] * (len(bundle) - skip)
     for k, item in enumerate(islice(bundle, skip, None)):
         row[2 * k + 1] = item
     return row
 
 
-def _rows(base: Vertex, off, h_item, v_item) -> tuple[list[list], list[int]]:
+def _rows(base: Vertex, off, h_item=None, v_item=None) -> tuple[list[list], list[int]]:
     # The table of one exhaustive walk.  Code di * w + dj (w = j + 1) is the
     # vertex (p + i - di, q + j - dj); rows[code] holds one stack entry per
     # edge leaving it within the walk: the code the edge enters, then its
-    # item, h_item(k) or v_item(k) for edge index k.  Items are shared, and
-    # the entries run V then H by descending index, so popping them takes
-    # the edges in enumeration order.  depth[code] is the position of the
-    # step entering the vertex.  Each walk pops its start row in place.
+    # item, h_item(k) or v_item(k) for edge index k, or None with no maker.
+    # Items are shared, and the entries run V then H by descending index, so
+    # popping them takes the edges in enumeration order.  depth[code] is the
+    # position of the step entering the vertex.  Each walk pops its start row in place.
     (p, q), (i, j) = base, off
     w = j + 1
-    hs = [h_item(k) for k in range(q + j + 1, 0, -1)] if i else []
-    vs = [v_item(k) for k in range(p + i + 1, 0, -1)] if j else []
+    hs = [h_item(k) for k in range(q + j + 1, 0, -1)] if i and h_item else q + j + 1
+    vs = [v_item(k) for k in range(p + i + 1, 0, -1)] if j and v_item else p + i + 1
     rows, depth = [], []
     for di in range(i + 1):
         for dj in range(j + 1):
@@ -194,7 +196,7 @@ def count_paths_enumeration(base, off, *,
     """Count paths by actually walking every one of them (each parallel
     edge taken separately).  Independent oracle for the formulas; budget
     as enumerate_paths."""
-    rows, _ = _rows(*_enum_args(base, off, max_enum), int, int)    # items unread
+    rows, _ = _rows(*_enum_args(base, off, max_enum))      # items unread: None
     n = 0
     stack = [len(rows) - 1, None]   # the start as if entered, so an empty walk counts 1
     pop = stack.pop

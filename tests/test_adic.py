@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import factorial
 
-from test_shared_tables import module_sizes
+from test_shared_tables import _successor, module_sizes
 
 from euleradic import (
     BudgetError,
@@ -297,6 +297,18 @@ def test_orbit_is_the_compare_order_through_level_seven():
             v = (x, n - x)
             expected = sorted(enumerate_paths(ORIGIN, v), key=cmp_to_key(compare))
             assert list(orbit(v)) == expected
+
+
+def test_orbit_equals_a_chain_of_independent_successor_calls():
+    # Each public successor call loads its own odometer, so a reset row that
+    # one orbit step altered in place would make the two chains differ.
+    for n in range(8):
+        for x in range(n + 1):
+            v = (x, n - x)
+            chain = [minimal_path(v)]
+            while (nxt := _successor(chain[-1])) is not None:
+                chain.append(nxt)
+            assert list(orbit(v)) == chain
 
 
 def test_orbit_on_an_axis_is_one_path():

@@ -98,6 +98,11 @@ DIGESTS = [
      "9647103d37c00a11d69261e1d62a8b4dbc670dc42d566dbb7fc8d8e130706b0e"),
     ("table-2-2-7x30", ("table", "--p", "2", "--q", "2", "--imax", "7", "--jmax", "30"),
      "d92965f9b8d43080fa4d55381aa9a04397399e50cfc9c90304d100f0aff1bb70"),
+    # An orbit at level 8, 156,190 lines, taken while each reset below a
+    # raised digit built the minimal path's rows afresh: it reaches
+    # parents deeper than the every-orbit digest below.
+    ("orbit-4-4", ("orbit", "--vertex", "4,4"),
+     "e33270f6453579aa3644da1c2564d3dee14afc89d962b2f64698de24c23f7137"),
 ]
 
 
