@@ -14,7 +14,7 @@ import os
 import sys
 from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 # Only errors is imported here: it holds the budget defaults _COMMANDS
 # reads.  Each command imports the modules it runs when it is called, so a
@@ -56,7 +56,7 @@ def _decimals(counts: list[int]) -> list[str]:
     return list(map(str if fits else _decimal, counts))
 
 
-def _row_texts(cells: list[list[int]], mirrored: bool):
+def _row_texts(cells: Iterable[list[int]], mirrored: bool):
     # Each row's texts; in a mirrored table, (i, j) with j < i <= jmax reuses (j, i)'s.
     above: list[list[str]] = []
     for i, row in enumerate(cells):
@@ -79,17 +79,20 @@ def _dec(f: Fraction) -> str:
 
 
 def _cmd_table(args) -> int:
-    from .eulerian import recurrence_table
+    from .eulerian import _fill, _table_base
 
-    table = recurrence_table((args.p, args.q), args.imax, args.jmax,
-                             max_cells=args.max_cells)
+    p, q = _table_base((args.p, args.q), args.imax, args.jmax, args.max_cells)
     # A_{p,q}(i, j) = A_{q,p}(j, i), so a table with p = q is symmetric.
-    rows = _row_texts(table.cells, args.p == args.q)
+    rows = _row_texts(_fill(p, q, args.imax, args.jmax), p == q)
     if args.format == "json":
-        # Laid out as json.dumps would, with the cells written by _decimal.
-        rows = ", ".join("[" + ", ".join(texts) + "]" for texts in rows)
-        print(f'{{"params": {{"p": {args.p}, "q": {args.q}, "imax": {args.imax}, '
-              f'"jmax": {args.jmax}}}, "rows": [{rows}]}}')
+        # Laid out as json.dumps would, cells written by _decimal, a row at a
+        # time: the params head, each row after its separator, then "]}".
+        sep = (f'{{"params": {{"p": {p}, "q": {q}, "imax": {args.imax}, '
+               f'"jmax": {args.jmax}}}, "rows": [')
+        for texts in rows:
+            print(sep + "[" + ", ".join(texts) + "]", end="")
+            sep = ", "
+        print("]}")
     else:
         print("i\\j," + ",".join(str(j) for j in range(args.jmax + 1)))
         for i, texts in enumerate(rows):

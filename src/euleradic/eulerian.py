@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 from operator import index, mul, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DEFAULT_CELL_BUDGET, BudgetError
 
@@ -124,7 +124,7 @@ def recurrence_table(base, imax: int, jmax: int, *,
     7
     """
     base = _table_base(base, imax, jmax, max_cells)
-    return CountTable(base, imax, jmax, _fill(*base, imax, jmax))
+    return CountTable(base, imax, jmax, list(_fill(*base, imax, jmax)))
 
 
 def closed_form_table(base, imax: int, jmax: int, *,
@@ -149,22 +149,18 @@ def closed_form_table(base, imax: int, jmax: int, *,
     return CountTable(base, imax, jmax, cells)
 
 
-def _fill(p: int, q: int, imax: int, jmax: int) -> list[list[int]]:
-    # The recurrence rows, unchecked; the boundary rows are the recurrence
-    # with the missing neighbours read as 0.  Base coordinates down to -1
-    # are legal: every horizontal (q = -1) or vertical (p = -1) bundle then
-    # has one edge fewer than at coordinate 0.
-    rows: list[list[int]] = []
-    up_row = [0] * (jmax + 1)
+def _fill(p: int, q: int, imax: int, jmax: int) -> Iterator[list[int]]:
+    # The rows i = 0..imax of the recurrence, unchecked, each yielded when
+    # made; only the row above is kept.  A boundary row reads its missing
+    # neighbours as 0.  Base coordinates down to -1 are legal: each horizontal
+    # (q = -1) or vertical (p = -1) bundle then has one edge fewer than at 0.
+    row = [0] * (jmax + 1)
     for i in range(imax + 1):
-        row: list[int] = []
-        left = 0
+        up_row, row, left = row, [], 0
         for j, up in enumerate(up_row):
             left = (j + q + 1) * up + (i + p + 1) * left if i or j else 1
             row.append(left)
-        rows.append(row)
-        up_row = row
-    return rows
+        yield row
 
 
 def _level(p: int, q: int, e: int, k: int) -> tuple[list[int], list[int]]:

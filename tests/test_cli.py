@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +120,34 @@ def test_table_past_the_int_to_str_digit_limit(capsys):
                           '"jmax": 1000}, "rows": [[1, 20001, 400040001, ')
     assert out.endswith("]]}\n")
     assert _chunked_int(out[:-4].rsplit(", ", 1)[1]) == 20001 ** 1000
+
+
+class _Sink:
+    """A stdout that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_is_written_without_holding_it(fmt):
+    # Each row is filled, converted and written before the next, so the
+    # traced peak is a row or two, far below the 201 x 201 table's counts
+    # (8 MiB) or its JSON text (36 MiB).  The parser is built first so its
+    # one-time cost is not traced.
+    cli._parser()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            rc = cli.main(["table", "--p", "2", "--q", "1", "--imax", "200",
+                           "--jmax", "200", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak < 2 * 2 ** 20
 
 
 def test_converge_output(capsys):

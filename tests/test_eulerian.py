@@ -73,7 +73,7 @@ def test_kernel_at_bases_down_to_minus_one():
     # the reflection (p, q, i, j) -> (q, p, j, i) holds there as well.
     for p in range(-1, 4):
         for q in range(-1, 4):
-            rows = _fill(p, q, 8, 8)
+            rows = list(_fill(p, q, 8, 8))
             for i in range(9):
                 for j in range(9):
                     assert _sum(*_level(p, q, i + j, i)) == rows[i][j]

@@ -103,6 +103,16 @@ DIGESTS = [
     # parents deeper than the every-orbit digest below.
     ("orbit-4-4", ("orbit", "--vertex", "4,4"),
      "e33270f6453579aa3644da1c2564d3dee14afc89d962b2f64698de24c23f7137"),
+    # The benchmark's p != q CSV tables, square and long, and a JSON table
+    # of many short rows, taken while a table was filled whole before any
+    # of it was written.
+    ("table-2-1-110", ("table", "--p", "2", "--q", "1", "--imax", "110", "--jmax", "110"),
+     "fe276ec8be52b6c59f675bd19f84d223b1935a7583a7e56c6f273ecaad034616"),
+    ("table-3-0-12x300", ("table", "--p", "3", "--q", "0", "--imax", "12", "--jmax", "300"),
+     "11f03f36337e44d6b166fb7d4520224e652c35ebb26c8a372a89ed1858d882b9"),
+    ("table-json-2-1-7x30", ("table", "--p", "2", "--q", "1", "--imax", "7", "--jmax", "30",
+                             "--format", "json"),
+     "1788fb1343c8935015859a37c1d31ad428ce0c1bf42e59356bd7cfc4ad3cb490"),
 ]
 
 
