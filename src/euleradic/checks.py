@@ -20,7 +20,7 @@ from .eulerian import (ORIGIN, classical_eulerian_oracle, closed_form,
                        recurrence_table)
 from .goodpaths import (LabelScheme, bad_path_bound, count_good_dp,
                         count_good_enumeration, good_count_table, is_good)
-from .paths import enumerate_paths
+from .paths import count_paths_enumeration, enumerate_paths, validate
 from .ratios import check_monotonicity
 
 
@@ -119,7 +119,16 @@ def transport_bijection(bases, ends, *, max_paths: int, max_good=None):
     """(src, dst, end) for bases of one level where decoding at dst the codes
     of the good paths from src to `end` does not give each good path from
     dst to `end` once, re-encoding to its code (at src: the paths).  Sources
-    with over max_paths paths, or max_good good paths, to an end are skipped."""
+    with over max_paths paths, or max_good good paths, to an end are skipped.
+
+    One pass over the walk from src holds no path: each good path is encoded
+    once and its code decoded at every base, and the good paths are counted.
+    Good paths must arrive in strictly increasing tuple order, as
+    enumerate_paths yields them, so they are distinct, and so are their
+    round-tripped images at src.  Images elsewhere re-encode to those codes,
+    which are distinct while the round trip at src holds.  So the images at
+    dst are as many distinct good paths to `end` as src has, and they are
+    all of dst's exactly when that number is count_good_dp's at dst."""
     schemes = {b: LabelScheme(b) for b in bases}
     bad, checked = [], 0
     for src, end in product(bases, ends):
@@ -129,33 +138,43 @@ def transport_bijection(bases, ends, *, max_paths: int, max_good=None):
             continue
         # enumerate_paths builds valid paths from src, so their goodness
         # needs no validation; every decoded image gets the full is_good.
-        mine = schemes[src]
-        goods = [x for x in enumerate_paths(src, off, max_enum=max_paths)
-                 if mine.consumed(x.steps) == mine.full_mask]
-        codes = [_encode(mine, x) for x in goods]
-        for dst, scheme in schemes.items():
-            images = [decode(scheme, code) for code in codes]
-            ok = images == goods if dst == src else all(
-                y.end() == end and is_good(scheme, y)[0] and _encode(scheme, y) == code
-                for y, code in zip(images, codes))
-            if not (ok and len(set(images)) == count_good_dp(
-                    dst, (end[0] - dst[0], end[1] - dst[1]))):
-                bad.append((src, dst, end))
-            checked += 1
+        mine, good, prev, ok = schemes[src], 0, (), dict.fromkeys(schemes, True)
+        for x in enumerate_paths(src, off, max_enum=max_paths):
+            if mine.consumed(x.steps) == mine.full_mask:
+                code, good, fresh = _encode(mine, x), good + 1, x > prev
+                for dst, scheme in schemes.items():
+                    y = decode(scheme, code)
+                    ok[dst] &= fresh and (y == x if dst == src else y.end() == end
+                                          and is_good(scheme, y)[0]
+                                          and _encode(scheme, y) == code)
+                prev = x
+        bad += [(src, dst, end) for dst in schemes if not (ok[dst] and good == count_good_dp(
+            dst, (end[0] - dst[0], end[1] - dst[1])))]
+        checked += len(schemes)
     return bad, checked
 
 
 def orbits(vertices, *, max_enum: int = DEFAULT_ENUM_BUDGET):
     """Vertices whose orbit is not every root path to them once, in
-    increasing compare order, or whose maximal path has a successor."""
+    increasing compare order, or whose maximal path has a successor.
+
+    The orbit is walked once and holds only its previous path.  Its first
+    path must end at v, and each later one must compare strictly above the
+    one before it; compare checks that both are root paths to one vertex.
+    Strictly increasing paths are distinct, so an orbit whose length equals
+    both dim_between and the walker's count of root paths to v holds each of
+    them once."""
     def complete(v):
-        paths = list(orbit(v, max_enum=max_enum))
         try:
             successor(maximal_path(v))
         except MaximalPathError:
-            return (len(paths) == dim_between(ORIGIN, v)
-                    and all(compare(a, b) < 0 for a, b in zip(paths, paths[1:]))
-                    and set(paths) == set(enumerate_paths(ORIGIN, v, max_enum=max_enum)))
+            n = 0
+            for n, cur in enumerate(orbit(v, max_enum=max_enum), 1):
+                if not (compare(prev, cur) < 0 if n > 1 else validate(cur, ORIGIN) == v):
+                    return False
+                prev = cur
+            return n == dim_between(ORIGIN, v) == count_paths_enumeration(
+                ORIGIN, v, max_enum=max_enum)
         return False
     return [v for v in vertices if not complete(v)], len(vertices)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DEFAULT_ENUM_BUDGET, BudgetError, PathValidationError
@@ -171,12 +172,16 @@ def _walk_all(base: Vertex, off) -> Iterator[EulerPath]:
 
 def _enum_args(base, off, max_enum: int) -> tuple[Vertex, Offset]:
     # The validated base and offset of an exhaustive walk, once its exact
-    # path count fits the budget.
+    # path count fits the budget.  Every bundle has an edge, so C(i+j, i)
+    # bounds the count from below; it is checked first, in milliseconds
+    # where the exact count takes seconds.
     base, off = _as_vertex(base), _as_offset(off)
-    expected = _count(*base, *off)
-    if expected > max_enum:
+    what, n = f"lower bound C({sum(off)}, {off[0]}) on the count", comb(sum(off), off[0])
+    if n <= max_enum:
+        what, n = "count", _count(*base, *off)
+    if n > max_enum:
         # The bit length, not the digits: a count may be past str's limit.
-        raise BudgetError(f"the {expected.bit_length()}-bit count of paths from "
+        raise BudgetError(f"the {n.bit_length()}-bit {what} of paths from "
                           f"{tuple(base)} at offset {tuple(off)} exceeds the "
                           f"enumeration budget {max_enum}")
     return base, off

@@ -8,11 +8,12 @@ the same window.
 """
 
 import inspect
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from euleradic import ORIGIN, checks, closed_form, minimal_path
+from euleradic import ORIGIN, LabelScheme, checks, closed_form, is_good, minimal_path
 
 
 def _at(base, off):
@@ -34,6 +35,21 @@ def _spoil_table(table):
 
 def _drop_last(paths):
     return iter(list(paths)[:-1])
+
+
+def _repeat_first(paths):
+    paths = list(paths)
+    paths[1] = paths[0]
+    return iter(paths)
+
+
+def _repeat_first_good(paths):
+    # the walk, yielding its first good path again in place of its second
+    paths = list(paths)
+    scheme = LabelScheme(paths[0].start)
+    first, second = [k for k, x in enumerate(paths) if is_good(scheme, x)[0]][:2]
+    paths[second] = paths[first]
+    return iter(paths)
 
 
 # check name, call, (name read by the check, where it is wrong, how),
@@ -101,10 +117,22 @@ CASES = [
         8, [((0, 1), (0, 1), (3, 4)), ((1, 0), (0, 1), (3, 4))],
         id="transport_bijection"),
     pytest.param(
+        "transport_bijection",
+        lambda: checks.transport_bijection(checks.level(1), [(3, 3), (3, 4)],
+                                           max_paths=10**6),
+        ("enumerate_paths", _at((0, 1), (3, 3)), _repeat_first_good),
+        8, [((0, 1), (0, 1), (3, 4)), ((0, 1), (1, 0), (3, 4))],
+        id="transport_bijection-repeated_good_path"),
+    pytest.param(
         "orbits",
         lambda: checks.orbits([v for n in range(5) for v in checks.level(n)]),
         ("orbit", lambda v, *_: tuple(v) == (2, 2), _drop_last),
         15, [(2, 2)], id="orbits"),
+    pytest.param(
+        "orbits",
+        lambda: checks.orbits([v for n in range(5) for v in checks.level(n)]),
+        ("orbit", lambda v, *_: tuple(v) == (2, 2), _repeat_first),
+        15, [(2, 2)], id="orbits-repeated_path"),
     pytest.param(
         "level_measures",
         lambda: checks.level_measures(range(6)),
@@ -149,6 +177,22 @@ def test_orbits_report_a_maximal_path_that_has_a_successor(monkeypatch):
     monkeypatch.setattr(checks, "successor", lambda path: minimal_path((2, 2))
                         if path == last else successor(path))
     assert checks.orbits(vertices) == ([(2, 2)], 15)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: checks.orbits([(3, 4)]),
+    lambda: checks.transport_bijection(checks.level(0), [(3, 4)], max_paths=10**6),
+], ids=["orbits", "transport_bijection"])
+def test_a_walking_check_holds_no_path(run):
+    # The origin has 15,619 paths to (3, 4).  Holding them as a list and a
+    # set, or the good ones with their codes and images, peaks near 6 MiB.
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ([], 1) and peak < 2 ** 20
 
 
 def test_problems_fail_a_check_that_checked_nothing():

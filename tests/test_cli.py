@@ -240,11 +240,12 @@ def test_orbit_budget_exit(capsys):
     ("good", "--p", "0", "--q", "0", "--i", "900", "--j", "900", "--method", "enum"),
 ], ids=["orbit", "good"])
 def test_a_budget_refusal_gives_the_count_by_its_bit_length(capsys, argv):
-    # The count has 5,082 digits, more than str() writes for an int.
+    # The count has 5,082 digits, more than str() writes for an int; the
+    # lower bound C(1800, 900) already refuses, without the count.
     rc, out, err = run(capsys, *argv, "--max-enum", "10")
     assert rc == 2 and out == ""
-    assert err == ("error: the 16881-bit count of paths from (0, 0) at offset "
-                   "(900, 900) exceeds the enumeration budget 10\n")
+    assert err == ("error: the 1795-bit lower bound C(1800, 900) on the count of paths "
+                   "from (0, 0) at offset (900, 900) exceeds the enumeration budget 10\n")
 
 
 def test_encode_decode_round_trip(capsys):

@@ -137,6 +137,21 @@ def test_budget_is_checked_before_walking():
         count_paths_enumeration((0, 0), (10, 10), max_enum=100)
 
 
+def test_the_budget_refuses_on_the_lower_bound_before_the_exact_count(monkeypatch):
+    # C(20, 10) = 184,756 paths take edge 1 of every bundle to (10, 10)
+    def no_count(*args):
+        raise AssertionError("the exact count was computed")
+    monkeypatch.setattr(paths_module, "_count", no_count)
+    with pytest.raises(BudgetError, match=r"^the 18-bit lower bound C\(20, 10\) on the count "
+                       r"of paths from \(0, 0\) at offset \(10, 10\) exceeds the "
+                       r"enumeration budget 184755$"):
+        enumerate_paths((0, 0), (10, 10), max_enum=184_755)
+    monkeypatch.undo()
+    # the bound fits, so the exact count refuses
+    with pytest.raises(BudgetError, match=r"^the \d+-bit count of paths from \(0, 0\) "):
+        count_paths_enumeration((0, 0), (10, 10), max_enum=184_756)
+
+
 def test_multiplicity():
     # The bundle sizes y+1 (horizontal) and x+1 (vertical), as validate
     # enforces them: the last edge of each bundle is taken, the next is not.
